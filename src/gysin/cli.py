@@ -22,11 +22,10 @@ from fractions import Fraction
 from .errors import GysinError, InternalInconsistency
 from .localization import GenericPoint, default_point, localization_sum, seeded_points
 from .partitions import Partition
-from .poly import SparsePoly
-from .pushforward import closed_form, pushforward_schur, pushforward_symmetric
+from .pushforward import PushforwardResult, closed_form, pushforward_schur
 from .schur import schur_bialternant, schur_dual_jacobi_trudi, schur_tableaux
 from .spaces import Space, SpaceKind
-from .verification import ALL_KINDS, run_verification, table_rows
+from .verification import ALL_KINDS, evaluate_case, run_verification, table_rows
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,8 +49,11 @@ def _parse_point(text: str, n: int) -> GenericPoint:
     return GenericPoint(values)
 
 
-def _poly_payload(p: SparsePoly, var: str) -> dict:
-    return {"nvars": p.nvars, "variable": var, "terms": p.to_records()}
+def _emit(args, out, payload: dict, lines: list) -> None:
+    if args.format == "json":
+        print(json.dumps(payload, indent=2), file=out)
+    else:
+        print("\n".join(lines), file=out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,30 +65,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0, help="seed for generic points")
+    spaces = [k.value for k in SpaceKind]
 
     p_push = sub.add_parser("pushforward", help="push one Schur class forward")
-    p_push.add_argument("--space", required=True, choices=[k.value for k in SpaceKind])
+    p_push.add_argument("--space", required=True, choices=spaces)
     p_push.add_argument("--n", required=True, type=int)
     p_push.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA",
                         help='partition, e.g. "4,3,1" ("0" for empty)')
     p_push.add_argument("--method", choices=("residue", "closed", "abbv", "all"),
                         default="residue")
     p_push.add_argument("--t", help="rational evaluation point, e.g. \"1,2\" or \"1/2,3\"")
-    add_common(p_push)
 
     p_schur = sub.add_parser("schur", help="print a Schur polynomial")
     p_schur.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
     p_schur.add_argument("--n", required=True, type=int)
     p_schur.add_argument("--via", choices=sorted(_SCHUR_BUILDERS), default="bialternant",
                          help="construction to use (debugging aid)")
-    add_common(p_schur)
 
     p_verify = sub.add_parser("verify", help="cross-validate all three methods")
-    p_verify.add_argument("--space", choices=[k.value for k in SpaceKind],
+    p_verify.add_argument("--space", choices=spaces,
                           help="restrict to one space kind (default: all)")
     p_verify.add_argument("--n-max", type=int, default=3)
     p_verify.add_argument("--weight-max", type=int, default=9)
@@ -94,14 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seeded oracle points per case (plus the default point)")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="test mode: corrupt one case to exercise mismatch reporting")
-    add_common(p_verify)
 
     p_table = sub.add_parser("table", help="tabulate push-forwards")
-    p_table.add_argument("--space", required=True, choices=[k.value for k in SpaceKind])
+    p_table.add_argument("--space", required=True, choices=spaces)
     p_table.add_argument("--n", required=True, type=int)
     p_table.add_argument("--weight-max", type=int, default=6)
-    add_common(p_table)
 
+    for p in (p_push, p_schur, p_verify, p_table):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--seed", type=int, default=0, help="seed for generic points")
     return parser
 
 
@@ -109,179 +107,75 @@ def _cmd_pushforward(args, out) -> int:
     space = Space(SpaceKind(args.space), args.n)
     lam = Partition.from_text(args.lam)
     point = _parse_point(args.t, space.n) if args.t else default_point(space.n)
-
-    if args.method == "closed":
-        result = closed_form(lam, space)
-        residue_text = None
-        oracle = None
-    elif args.method == "abbv":
-        oracle = localization_sum(schur_bialternant(lam, space.n), space, point)
-        result = None
-        residue_text = None
-    elif args.method == "residue":
-        result = pushforward_schur(lam, space)
-        residue_text = result.value.render("t")
-        oracle = None
-    else:  # all
-        schur = schur_bialternant(lam, space.n)
-        residue_value = pushforward_symmetric(schur, space)
-        expected = closed_form(lam, space)
-        points = [point] + seeded_points(space.n, 2, args.seed)
-        oracle_ok = all(
-            localization_sum(schur, space, pt) == residue_value.evaluate(pt.values)
-            for pt in points
-        )
-        closed_ok = residue_value == expected.value
-        agreement = closed_ok and oracle_ok
-        if args.format == "json":
-            payload = {
-                "command": "pushforward",
-                "space": args.space,
-                "n": args.n,
-                "lambda": list(lam.parts),
-                "method": "all",
-                "value": _poly_payload(residue_value, "t"),
-                "text": residue_value.render("t"),
-                "mu": list(expected.mu.parts) if expected.mu is not None else None,
-                "constant": str(expected.constant) if expected.constant is not None else None,
-                "methods": {
-                    "residue": residue_value.render("t"),
-                    "closed": expected.value.render("t"),
-                    "oracle_points": len(points),
-                    "closed_match": closed_ok,
-                    "oracle_match": oracle_ok,
-                },
-                "agreement": agreement,
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        else:
-            print(f"space: {space.label()}", file=out)
-            print(f"lambda: {lam.to_text()}", file=out)
-            print("method: all", file=out)
-            print(f"value: {residue_value.render('t')}", file=out)
-            if expected.mu is not None:
-                print(f"mu: {expected.mu.to_text()}", file=out)
-                print(f"constant: {expected.constant}", file=out)
-            print(f"residue: {residue_value.render('t')}", file=out)
-            print(f"closed: {expected.value.render('t')}", file=out)
-            print(f"oracle-points: {len(points)}", file=out)
-            print(f"agreement: {'ok' if agreement else 'MISMATCH'}", file=out)
-        return EXIT_OK if agreement else EXIT_INCONSISTENT
-
+    payload = {"command": "pushforward", "space": args.space, "n": args.n,
+               "lambda": list(lam.parts), "method": args.method}
+    lines = [f"space: {space.label()}", f"lambda: {lam.to_text()}", f"method: {args.method}"]
+    ok = True
     if args.method == "abbv":
-        if args.format == "json":
-            payload = {
-                "command": "pushforward",
-                "space": args.space,
-                "n": args.n,
-                "lambda": list(lam.parts),
-                "method": "abbv",
-                "t": [str(v) for v in point.values],
-                "oracle": str(oracle),
-            }
-            print(json.dumps(payload, indent=2), file=out)
-        else:
-            print(f"space: {space.label()}", file=out)
-            print(f"lambda: {lam.to_text()}", file=out)
-            print("method: abbv", file=out)
-            print(f"t: {','.join(str(v) for v in point.values)}", file=out)
-            print(f"oracle: {oracle}", file=out)
-        return EXIT_OK
-
-    if args.format == "json":
-        payload = {
-            "command": "pushforward",
-            "space": args.space,
-            "n": args.n,
-            "lambda": list(lam.parts),
-            "method": args.method,
-            "value": _poly_payload(result.value, "t"),
-            "text": result.value.render("t"),
-            "mu": list(result.mu.parts) if result.mu is not None else None,
-            "constant": str(result.constant) if result.constant is not None else None,
-        }
-        print(json.dumps(payload, indent=2), file=out)
+        oracle = localization_sum(schur_bialternant(lam, space.n), space, point)
+        payload.update(t=[str(v) for v in point.values], oracle=str(oracle))
+        lines += [f"t: {','.join(payload['t'])}", f"oracle: {oracle}"]
+    elif args.method == "all":
+        case = evaluate_case(space, lam, [point] + seeded_points(space.n, 2, args.seed))
+        ok = case.ok
+        result = PushforwardResult(case.residue, case.closed.mu, case.closed.constant)
+        residue, closed = case.residue.render("t"), case.closed.value.render("t")
+        methods = {"residue": residue, "closed": closed, "oracle_points": case.oracle_points,
+                   "closed_match": case.closed_match, "oracle_match": case.oracle_match}
+        payload.update(result.to_dict(), methods=methods, agreement=ok)
+        lines += result.text_lines() + [
+            f"residue: {residue}", f"closed: {closed}", f"oracle-points: {case.oracle_points}",
+            f"agreement: {'ok' if ok else 'MISMATCH'}"]
     else:
-        print(f"space: {space.label()}", file=out)
-        print(f"lambda: {lam.to_text()}", file=out)
-        print(f"method: {args.method}", file=out)
-        print(f"value: {result.value.render('t')}", file=out)
-        if result.mu is not None:
-            print(f"mu: {result.mu.to_text()}", file=out)
-            print(f"constant: {result.constant}", file=out)
-    return EXIT_OK
+        result = closed_form(lam, space) if args.method == "closed" else pushforward_schur(lam, space)
+        payload.update(result.to_dict())
+        lines += result.text_lines()
+    _emit(args, out, payload, lines)
+    return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
 def _cmd_schur(args, out) -> int:
     lam = Partition.from_text(args.lam)
-    builder = _SCHUR_BUILDERS[args.via]
-    value = builder(lam, args.n)
-    if args.format == "json":
-        payload = {
-            "command": "schur",
-            "lambda": list(lam.parts),
-            "n": args.n,
-            "via": args.via,
-            "value": _poly_payload(value, "z"),
-            "text": value.render("z"),
-        }
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(value.render("z"), file=out)
+    value = _SCHUR_BUILDERS[args.via](lam, args.n)
+    text = value.render("z")
+    payload = {"command": "schur", "lambda": list(lam.parts), "n": args.n, "via": args.via,
+               "value": value.to_payload("z"), "text": text}
+    _emit(args, out, payload, [text])
     return EXIT_OK
 
 
 def _cmd_verify(args, out) -> int:
     kinds = (SpaceKind(args.space),) if args.space else ALL_KINDS
-    report = run_verification(
-        n_max=args.n_max,
-        weight_max=args.weight_max,
-        kinds=kinds,
-        seed=args.seed,
-        oracle_points=args.points,
-        inject_fault=args.inject_fault,
-    )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        names = ",".join(k.value for k in kinds)
-        print(
-            f"verify: spaces={names} n-max={args.n_max} weight-max={args.weight_max} "
-            f"seed={args.seed} points={args.points + 1}",
-            file=out,
+    report = run_verification(n_max=args.n_max, weight_max=args.weight_max, kinds=kinds,
+                              seed=args.seed, oracle_points=args.points,
+                              inject_fault=args.inject_fault)
+    lines = [
+        f"verify: spaces={','.join(k.value for k in kinds)} n-max={args.n_max} "
+        f"weight-max={args.weight_max} seed={args.seed} points={args.points + 1}"
+    ]
+    for case in report.cases:
+        extras = (f" mu={case.closed.mu.to_text()} constant={case.closed.constant}"
+                  if case.closed.mu is not None else "")
+        oracle = "skipped" if case.oracle_match is None else str(case.oracle_match)
+        lines.append(
+            f"{'ok  ' if case.ok else 'FAIL'} {case.space.label()} lambda={case.lam.to_text()} "
+            f"value={case.residue.render('t')}{extras} oracle={oracle}"
         )
-        for case in report.cases:
-            status = "ok  " if case.ok else "FAIL"
-            extras = ""
-            if case.closed.mu is not None:
-                extras = f" mu={case.closed.mu.to_text()} constant={case.closed.constant}"
-            oracle = "skipped" if case.oracle_match is None else str(case.oracle_match)
-            print(
-                f"{status} {case.space.label()} lambda={case.lam.to_text()} "
-                f"value={case.residue.render('t')}{extras} oracle={oracle}",
-                file=out,
-            )
-        for n, constant in sorted(report.og_even_constants().items()):
-            print(f"og-even constant n={n}: {constant} (= 2^(n-1), not 2^n)", file=out)
-        verdict = "PASS" if report.all_ok else "FAIL"
-        print(f"result: {verdict} ({len(report.cases)} cases)", file=out)
+    for n, constant in sorted(report.og_even_constants().items()):
+        lines.append(f"og-even constant n={n}: {constant} (= 2^(n-1), not 2^n)")
+    lines.append(f"result: {'PASS' if report.all_ok else 'FAIL'} ({len(report.cases)} cases)")
+    _emit(args, out, report.to_dict(), lines)
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
 
 
 def _cmd_table(args, out) -> int:
-    space = Space(SpaceKind(args.space), args.n)
-    rows = table_rows(space, args.weight_max)
-    fields = ["space", "n", "lambda", "mu", "constant", "value"]
-    if args.format == "json":
-        print(json.dumps({"command": "table", "rows": rows}, indent=2), file=out)
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=fields, lineterminator="\n", extrasaction="ignore"
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        out.write(buffer.getvalue())
+    rows = table_rows(Space(SpaceKind(args.space), args.n), args.weight_max)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=["space", "n", "lambda", "mu", "constant", "value"],
+                            lineterminator="\n", extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(args, out, {"command": "table", "rows": rows}, [buffer.getvalue().rstrip("\n")])
     return EXIT_OK
 
 
@@ -301,10 +195,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except GysinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (GysinError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -326,23 +326,6 @@ class SparsePoly:
         """Terms whose exponent vector is odd in every component."""
         return {e: c for e, c in self._terms.items() if all(k % 2 for k in e)}
 
-    def permute_variables(self, perm: Sequence[int]) -> "SparsePoly":
-        """Relabel variables: old variable i becomes variable perm[i]."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
-        out: dict = {}
-        for exps, coeff in self._terms.items():
-            ne = [0] * self.nvars
-            for i, k in enumerate(exps):
-                ne[perm[i]] = k
-            out[tuple(ne)] = coeff
-        return SparsePoly._raw(self.nvars, out)
-
-    def swap_variables(self, i: int, j: int) -> "SparsePoly":
-        perm = list(range(self.nvars))
-        perm[i], perm[j] = perm[j], perm[i]
-        return self.permute_variables(perm)
-
     def is_symmetric(self) -> bool:
         """True if invariant under every permutation of the variables.
 
@@ -367,6 +350,10 @@ class SparsePoly:
         through :meth:`from_records` is bit-exact.
         """
         return [{"coeff": str(c), "exp": list(e)} for e, c in self.sorted_terms()]
+
+    def to_payload(self, var: str) -> dict:
+        """JSON form {"nvars", "variable", "terms": to_records()}."""
+        return {"nvars": self.nvars, "variable": var, "terms": self.to_records()}
 
     @classmethod
     def from_records(cls, nvars: int, records: Iterable[Mapping]) -> "SparsePoly":

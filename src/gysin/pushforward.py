@@ -30,7 +30,7 @@ from .errors import (
 from .partitions import Partition, decompose
 from .poly import SparsePoly
 from .schur import schur_bialternant, schur_squared_args, vandermonde_factors
-from .spaces import Space, SpaceKind
+from .spaces import Space
 
 # Schur construction is n!-sized; refuse larger ranks.
 MAX_RANK = 8
@@ -46,9 +46,19 @@ class PushforwardResult:
     mu: Partition | None = None
     constant: Fraction | None = None
 
-    @property
-    def decomposed(self) -> bool:
-        return self.mu is not None
+    def to_dict(self) -> dict:
+        return {
+            "value": self.value.to_payload("t"),
+            "text": self.value.render("t"),
+            "mu": list(self.mu.parts) if self.mu is not None else None,
+            "constant": str(self.constant) if self.constant is not None else None,
+        }
+
+    def text_lines(self) -> list:
+        lines = [f"value: {self.value.render('t')}"]
+        if self.mu is not None:
+            lines += [f"mu: {self.mu.to_text()}", f"constant: {self.constant}"]
+        return lines
 
 
 def _check_numerator(p: SparsePoly, space: Space):
@@ -115,13 +125,8 @@ def pushforward_schur(lam: Partition, space: Space) -> PushforwardResult:
     The residue value is compared against the closed form; a mismatch can
     only come from an internal defect and raises InternalInconsistency.
     """
-    n = space.n
-    if n > MAX_RANK:
-        raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {n}")
-    if lam.length > n:
-        raise InvalidPartition(f"partition {lam} has more than {n} parts")
-    value = pushforward_symmetric(schur_bialternant(lam, n), space)
-    expected = closed_form(lam, space)
+    expected = closed_form(lam, space)  # also applies the rank and length guards
+    value = pushforward_symmetric(schur_bialternant(lam, space.n), space)
     if value != expected.value:
         raise InternalInconsistency(
             f"residue and closed form disagree for lambda={lam} on {space.label()}"
@@ -130,27 +135,20 @@ def pushforward_schur(lam: Partition, space: Space) -> PushforwardResult:
 
 
 def pushforward_parity_special(W: SparsePoly, space: Space) -> SparsePoly:
-    """Parity dichotomy of the extraction, for parity-pure numerators.
+    """Push-forward of a parity-pure numerator; MixedParity otherwise.
 
-    An all-even W pushes forward to exactly 0; an all-odd W with terms
+    An all-even W pushes forward to exactly 0 and an all-odd W with terms
     a * z^(2m+1) gives (sum a * t^(2m)) / prod_{i<j}(t_j^2 - t_i^2) times
-    the space constant.  Identical to pushforward_numerator on every
-    space; og-even delegates outright since its z_1...z_n prefactor swaps
-    the two parity classes.
+    the space constant (on og-even the z_1...z_n prefactor swaps the two
+    parity classes).  The value is that of pushforward_numerator on every
+    space, so only the parity classification is done here.
     """
     _check_numerator(W, space)
     n = space.n
-    if not W:
-        return SparsePoly.zero(n)
-    classes = set()
-    for exps in W.terms():
-        odd = sum(k & 1 for k in exps)
-        classes.add("odd" if odd == n else "even" if odd == 0 else "mixed")
-    if classes not in ({"odd"}, {"even"}):
+    classes = {
+        "odd" if odd == n else "even" if odd == 0 else "mixed"
+        for odd in (sum(k & 1 for k in exps) for exps in W.terms())
+    }
+    if len(classes) > 1 or "mixed" in classes:
         raise MixedParity(f"numerator mixes exponent parities: {sorted(classes)}")
-    if space.kind is SpaceKind.ORTHOGONAL_EVEN:
-        return pushforward_numerator(W, space)
-    if classes == {"even"}:
-        return SparsePoly.zero(n)
-    scale = Fraction(2 ** n) if space.kind is SpaceKind.ORTHOGONAL_ODD else Fraction(1)
-    return _extract_and_divide(W, n) * scale
+    return pushforward_numerator(W, space)

@@ -16,7 +16,13 @@ from .errors import ExplicitSizeLimit
 from .localization import default_point, localization_sum, seeded_points
 from .partitions import Partition, partitions_up_to_weight
 from .poly import SparsePoly
-from .pushforward import MAX_RANK, PushforwardResult, closed_form, pushforward_symmetric
+from .pushforward import (
+    MAX_RANK,
+    PushforwardResult,
+    closed_form,
+    pushforward_schur,
+    pushforward_symmetric,
+)
 from .schur import schur_bialternant, schur_squared_args
 from .spaces import Space, SpaceKind
 
@@ -147,6 +153,8 @@ def run_verification(n_max: int = 3, weight_max: int = 9, kinds=None, seed: int 
         raise ExplicitSizeLimit(f"n_max limited to {MAX_RANK}, got {n_max}")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if oracle_points < 0:
+        raise ValueError(f"oracle_points must be non-negative, got {oracle_points}")
     if kinds is None:
         kinds = ALL_KINDS
     cases = []
@@ -179,8 +187,6 @@ def table_rows(space: Space, weight_max: int) -> list:
     ``terms`` carries the lossless serialization of the value polynomial;
     the CSV writer ignores it.
     """
-    from .pushforward import pushforward_schur
-
     rows = []
     for lam in partitions_up_to_weight(space.n, weight_max):
         result = pushforward_schur(lam, space)

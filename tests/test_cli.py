@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gysin.cli import main
 from gysin.poly import SparsePoly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +106,35 @@ def test_pushforward_method_abbv(capsys):
     assert "oracle: 25" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("method", ["residue", "closed", "abbv", "all"])
+def test_pushforward_golden_stdout(capsys, method, fmt):
+    code, out, err = run_cli(
+        capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda", "2,1",
+        "--method", method, "--format", fmt,
+    )
+    expected = GOLDEN / f"pushforward_lg_2_2-1_{method}.{'txt' if fmt == 'text' else 'json'}"
+    assert (code, out, err) == (0, expected.read_text(), "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pushforward_method_all_skips_og_even_oracle_like_verify(capsys, fmt):
+    # lambda = 2,1 is not 2*mu + rho(1): verify skips the one-component
+    # og-even oracle there, and --method all compares exactly the same
+    code, out, _ = run_cli(
+        capsys, "pushforward", "--space", "og-even", "--n", "2", "--lambda", "2,1",
+        "--method", "all", "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["methods"]["oracle_points"] == 0
+        assert payload["methods"]["oracle_match"] is None
+        assert payload["agreement"] is True
+    else:
+        assert out.endswith("oracle-points: 0\nagreement: ok\n")
+
+
 def test_pushforward_json_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda", "4,1",
@@ -172,6 +204,13 @@ def test_verify_single_space(capsys):
     )
     assert code == 0
     assert "lg(" not in out
+
+
+def test_verify_negative_points_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "1", "--points", "-1")
+    assert code == 2
+    assert out == ""
+    assert "oracle_points" in err
 
 
 def test_verify_rank_guard(capsys):

@@ -198,12 +198,6 @@ def test_is_symmetric():
     assert not (z1 ** 2 * z2).is_symmetric()
 
 
-def test_permute_variables():
-    p = P(3, {(2, 1, 0): 1})
-    assert p.permute_variables([1, 2, 0]) == P(3, {(0, 2, 1): 1})
-    assert p.swap_variables(0, 1) == P(3, {(1, 2, 0): 1})
-
-
 # -- degree helpers -----------------------------------------------------
 
 def test_homogeneous_degree():

@@ -44,6 +44,11 @@ def test_rank_guard():
         run_verification(n_max=9)
 
 
+def test_negative_oracle_points_rejected():
+    with pytest.raises(ValueError):
+        run_verification(n_max=1, weight_max=2, oracle_points=-1)
+
+
 def test_report_dict_is_json_serializable():
     report = run_verification(n_max=1, weight_max=2, kinds=(SpaceKind.LAGRANGIAN,))
     payload = json.loads(json.dumps(report.to_dict()))
