@@ -156,10 +156,9 @@ def _cmd_verify(args, out) -> int:
     for case in report.cases:
         extras = (f" mu={case.closed.mu.to_text()} constant={case.closed.constant}"
                   if case.closed.mu is not None else "")
-        oracle = "skipped" if case.oracle_match is None else str(case.oracle_match)
         lines.append(
             f"{'ok  ' if case.ok else 'FAIL'} {case.space.label()} lambda={case.lam.to_text()} "
-            f"value={case.residue.render('t')}{extras} oracle={oracle}"
+            f"value={case.residue.render('t')}{extras} oracle={case.oracle_match}"
         )
     for n, constant in sorted(report.og_even_constants().items()):
         lines.append(f"og-even constant n={n}: {constant} (= 2^(n-1), not 2^n)")

@@ -24,6 +24,10 @@ from .spaces import Space, SpaceKind
 _ZERO = Fraction(0)
 
 
+def _show(values) -> str:
+    return f"({', '.join(str(v) for v in values)})"
+
+
 @dataclass(frozen=True)
 class FixedPoint:
     """Torus fixed point encoded by a sign vector; +1 in slot i means the
@@ -47,10 +51,10 @@ class GenericPoint:
     def __init__(self, values):
         vals = tuple(Fraction(v) for v in values)
         if any(not v for v in vals):
-            raise DegenerateEulerClass(f"zero coordinate in {vals}")
+            raise DegenerateEulerClass(f"zero coordinate in {_show(vals)}")
         if len({abs(v) for v in vals}) != len(vals):
             raise DegenerateEulerClass(
-                f"coordinates with equal absolute value in {vals}"
+                f"coordinates with equal absolute value in {_show(vals)}"
             )
         self.values = vals
 
@@ -69,7 +73,7 @@ class GenericPoint:
         return hash(self.values)
 
     def __repr__(self):
-        return f"GenericPoint({', '.join(str(v) for v in self.values)})"
+        return f"GenericPoint{_show(self.values)}"
 
 
 def default_point(n: int) -> GenericPoint:
@@ -94,17 +98,14 @@ def seeded_points(n: int, count: int, seed: int) -> list:
 
 
 def fixed_points(space: Space) -> list:
-    """All torus fixed points, in a fixed order.
+    """All 2^n torus fixed points (sign vectors), in a fixed order.
 
-    LG and og-odd have all 2^n sign vectors.  For og-even one connected
-    component is used: the sign vectors whose positive count is congruent
-    to n mod 2 (2^(n-1) of them).
+    The set is the same on every space.  On og-even it covers both
+    connected components of OG(n, 2n), and the push-forward computed by
+    the residue engine is the mean of the two component sums, which is
+    why ``localization_sum`` halves the og-even total.
     """
-    signs = list(product((1, -1), repeat=space.n))
-    if space.kind is SpaceKind.ORTHOGONAL_EVEN:
-        parity = space.n % 2
-        signs = [s for s in signs if s.count(1) % 2 == parity]
-    return [FixedPoint(s) for s in signs]
+    return [FixedPoint(s) for s in product((1, -1), repeat=space.n)]
 
 
 def euler_factor(space: Space, point: FixedPoint, at: GenericPoint) -> Fraction:
@@ -121,14 +122,16 @@ def euler_factor(space: Space, point: FixedPoint, at: GenericPoint) -> Fraction:
 
 @lru_cache(maxsize=1 << 14)
 def _euler_cached(space: Space, signs, values) -> Fraction:
-    signed = [s * v for s, v in zip(signs, values)]
-    result = Fraction(1)
+    # each of the space.dimension tangent weights is an integer over scale
+    scale = lcm(*(v.denominator for v in values))
+    signed = [s * v.numerator * (scale // v.denominator) for s, v in zip(signs, values)]
+    result = 1
     for i in range(space.n):
         for j in range(i + 1, space.n):
             factor = signed[i] + signed[j]
             if not factor:
                 raise DegenerateEulerClass(
-                    f"tangent weight vanished at signs={signs}, t={values}"
+                    f"tangent weight vanished at signs={signs}, t={_show(values)}"
                 )
             result *= factor
     if space.kind is SpaceKind.LAGRANGIAN:
@@ -137,16 +140,14 @@ def _euler_cached(space: Space, signs, values) -> Fraction:
     elif space.kind is SpaceKind.ORTHOGONAL_ODD:
         for x in signed:
             result *= x
-    return result
+    return Fraction(result, scale ** space.dimension)
 
 
 def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     """Exact fixed-point sum of V(eps * t) / Euler factor.
 
-    The restrictions at all fixed points differ only by signs of the
-    monomial values, so each monomial is evaluated once over a common
-    denominator and reused with a parity sign; this keeps the inner loop
-    in integer arithmetic without changing the summation formula.
+    The sum runs over all 2^n sign vectors; on og-even it covers both
+    components and is halved, once, for either kind of V.
     """
     if V.nvars != space.n:
         raise VariableCountMismatch(
@@ -156,24 +157,35 @@ def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     items = list(V.terms().items())
     if not items:
         return _ZERO
-    values = at.values
     if V.has_negative_exponents():
         total = _ZERO
         for fp in points:
-            signed = [s * v for s, v in zip(fp.signs, values)]
+            signed = [s * v for s, v in zip(fp.signs, at.values)]
             total += V.evaluate(signed) / euler_factor(space, fp, at)
-        return total
+    else:
+        total = _polynomial_sum(items, space, points, at)
+    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
 
-    n = space.n
+
+def _polynomial_sum(items, space: Space, points, at: GenericPoint) -> Fraction:
+    """The fixed-point sum of a polynomial, in integer arithmetic.
+
+    The restrictions at all fixed points differ only by signs of the
+    monomial values, and a monomial's sign depends only on which of its
+    exponents are odd.  So each monomial is scaled once to an integer over
+    a common denominator, the values are totalled per parity mask, and
+    each fixed point adds up at most 2^n signed mask totals.
+    """
+    values = at.values
     scale = lcm(*(v.denominator for v in values))
-    numerators = [int(v * scale) for v in values]
+    numerators = [v.numerator * (scale // v.denominator) for v in values]
     coeff_scale = lcm(*(c.denominator for _, c in items))
     max_degree = max(sum(e) for e, _ in items)
-    power_table = [dict() for _ in range(n)]
+    power_table = [dict() for _ in range(space.n)]
     scale_powers = {}
-    monomials = []
+    by_mask = {}
     for exps, coeff in items:
-        value = int(coeff * coeff_scale)
+        value = coeff.numerator * (coeff_scale // coeff.denominator)
         deficit = max_degree - sum(exps)
         if deficit not in scale_powers:
             scale_powers[deficit] = scale ** deficit
@@ -188,7 +200,8 @@ def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
                 value *= p
             if k & 1:
                 mask |= 1 << i
-        monomials.append((value, mask))
+        by_mask[mask] = by_mask.get(mask, 0) + value
+    masks = list(by_mask.items())
     shared_denominator = coeff_scale * scale ** max_degree
 
     total = _ZERO
@@ -198,13 +211,13 @@ def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
             if s < 0:
                 negatives |= 1 << i
         acc = 0
-        for value, mask in monomials:
+        for mask, value in masks:
             if (mask & negatives).bit_count() & 1:
                 acc -= value
             else:
                 acc += value
-        total += Fraction(acc, shared_denominator) / euler_factor(space, fp, at)
-    return total
+        total += acc / euler_factor(space, fp, at)
+    return total / shared_denominator
 
 
 @dataclass(frozen=True)

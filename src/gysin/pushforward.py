@@ -19,21 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ExplicitSizeLimit,
-    InternalInconsistency,
-    InvalidPartition,
-    MixedParity,
-    NotSymmetric,
-    VariableCountMismatch,
-)
+from .errors import InternalInconsistency, MixedParity, NotSymmetric, VariableCountMismatch
 from .partitions import Partition, decompose
 from .poly import SparsePoly
-from .schur import schur_bialternant, schur_squared_args, vandermonde_factors
+from .schur import check_size, schur_bialternant, schur_squared_args, vandermonde_factors
 from .spaces import Space
-
-# Schur construction is n!-sized; refuse larger ranks.
-MAX_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -108,10 +98,7 @@ def closed_form(lam: Partition, space: Space) -> PushforwardResult:
     """Fast path: zero unless lam = 2*mu + staircase, else the constant
     times s_mu(t^2), with no residue computation."""
     n = space.n
-    if n > MAX_RANK:
-        raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {n}")
-    if lam.length > n:
-        raise InvalidPartition(f"partition {lam} has more than {n} parts")
+    check_size(lam, n)
     mu = decompose(lam, n, space.staircase())
     if mu is None:
         return PushforwardResult(SparsePoly.zero(n))
@@ -125,7 +112,7 @@ def pushforward_schur(lam: Partition, space: Space) -> PushforwardResult:
     The residue value is compared against the closed form; a mismatch can
     only come from an internal defect and raises InternalInconsistency.
     """
-    expected = closed_form(lam, space)  # also applies the rank and length guards
+    expected = closed_form(lam, space)  # also applies the size guards
     value = pushforward_symmetric(schur_bialternant(lam, space.n), space)
     if value != expected.value:
         raise InternalInconsistency(

@@ -19,8 +19,9 @@ from .errors import ExplicitSizeLimit, InvalidPartition
 from .partitions import Partition, enumerate_ssyt
 from .poly import SparsePoly
 
-# Alternant expansion is d!-sized; refuse anything bigger.
-ALTERNANT_MAX_VARS = 8
+# The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
+# refuse larger ranks.
+MAX_RANK = 8
 
 _ONE = Fraction(1)
 
@@ -29,9 +30,14 @@ def _validate(lam: Partition, nvars: int):
     if nvars < 1:
         raise InvalidPartition(f"need at least one variable, got {nvars}")
     if lam.length > nvars:
-        raise InvalidPartition(
-            f"partition {lam} has {lam.length} parts but only {nvars} variables"
-        )
+        raise InvalidPartition(f"partition {lam} has more than {nvars} parts")
+
+
+def check_size(lam: Partition, nvars: int):
+    """The part-count and rank guards of every n!-sized computation."""
+    _validate(lam, nvars)
+    if nvars > MAX_RANK:
+        raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {nvars}")
 
 
 def elementary_symmetric(k: int, nvars: int) -> SparsePoly:
@@ -103,11 +109,7 @@ def alternant(exponents, nvars: int) -> SparsePoly:
 def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     """Alternant det(z_c^(lam_r + nvars - r)) divided exactly by the
     Vandermonde prod_{i<j}(z_i - z_j)."""
-    _validate(lam, nvars)
-    if nvars > ALTERNANT_MAX_VARS:
-        raise ExplicitSizeLimit(
-            f"alternant expansion limited to {ALTERNANT_MAX_VARS} variables, got {nvars}"
-        )
+    check_size(lam, nvars)
     shifted = tuple(lam.part(r) + nvars - 1 - r for r in range(nvars))
     result = alternant(shifted, nvars)
     for factor in vandermonde_factors(nvars):

@@ -118,9 +118,9 @@ def test_pushforward_golden_stdout(capsys, method, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_pushforward_method_all_skips_og_even_oracle_like_verify(capsys, fmt):
-    # lambda = 2,1 is not 2*mu + rho(1): verify skips the one-component
-    # og-even oracle there, and --method all compares exactly the same
+def test_pushforward_method_all_checks_og_even_oracle_like_verify(capsys, fmt):
+    # lambda = 2,1 is not 2*mu + rho(1); the og-even oracle is still
+    # compared at --t plus two seeded points, as in verify
     code, out, _ = run_cli(
         capsys, "pushforward", "--space", "og-even", "--n", "2", "--lambda", "2,1",
         "--method", "all", "--format", fmt,
@@ -128,11 +128,33 @@ def test_pushforward_method_all_skips_og_even_oracle_like_verify(capsys, fmt):
     assert code == 0
     if fmt == "json":
         payload = json.loads(out)
-        assert payload["methods"]["oracle_points"] == 0
-        assert payload["methods"]["oracle_match"] is None
+        assert payload["methods"]["oracle_points"] == 3
+        assert payload["methods"]["oracle_match"] is True
         assert payload["agreement"] is True
     else:
-        assert out.endswith("oracle-points: 0\nagreement: ok\n")
+        assert out.endswith("oracle-points: 3\nagreement: ok\n")
+
+
+@pytest.mark.parametrize("t", ["2,-2", "0,1"])
+@pytest.mark.parametrize("method", ["residue", "closed", "abbv", "all"])
+def test_degenerate_point_message_shows_plain_rationals(capsys, method, t):
+    code, out, err = run_cli(
+        capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda", "2,1",
+        "--method", method, "--t", t,
+    )
+    assert (code, out) == (2, "")
+    assert f"({t.replace(',', ', ')})" in err
+    assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "9", "--lambda", "2,1"], "error: rank limited to 8, got 9\n"),
+    (["--n", "2", "--lambda", "1,1,1"], "error: partition 1,1,1 has more than 2 parts\n"),
+], ids=["rank", "parts"])
+@pytest.mark.parametrize("method", ["residue", "closed", "abbv", "all"])
+def test_size_guard_message_is_the_same_for_every_method(capsys, method, argv, message):
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", *argv, "--method", method)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_pushforward_json_roundtrip(capsys):

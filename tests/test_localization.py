@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gysin.errors import DegenerateEulerClass, VariableCountMismatch
 from gysin.localization import (
@@ -52,11 +53,12 @@ def test_fixed_points_lagrangian():
     assert len(fixed_points(lg(1))) == 2
 
 
-def test_fixed_points_og_even_takes_one_parity_class():
-    assert [fp.signs for fp in fixed_points(og_even(2))] == [(1, 1), (-1, -1)]
-    assert len(fixed_points(og_even(3))) == 4
-    for fp in fixed_points(og_even(3)):
-        assert fp.signs.count(1) % 2 == 1
+def test_fixed_points_og_even_has_all_sign_vectors():
+    # both components of OG(n, 2n), the same set as on the other spaces
+    assert [fp.signs for fp in fixed_points(og_even(2))] == [
+        (1, 1), (1, -1), (-1, 1), (-1, -1),
+    ]
+    assert len(fixed_points(og_even(3))) == 8
 
 
 def test_fixed_points_og_odd():
@@ -134,7 +136,7 @@ def test_scaling_covariance():
     assert lhs == 3 ** 2 * localization_sum(V, lg(2), base)
 
 
-@pytest.mark.parametrize("space_factory", [lg, og_odd])
+@pytest.mark.parametrize("space_factory", [lg, og_even, og_odd])
 def test_localization_matches_residue_on_random_symmetric_classes(space_factory):
     for n in (1, 2, 3):
         space = space_factory(n)
@@ -144,6 +146,34 @@ def test_localization_matches_residue_on_random_symmetric_classes(space_factory)
             residue = pushforward_symmetric(V, space)
             for pt in points:
                 assert localization_sum(V, space, pt) == residue.evaluate(pt.values)
+
+
+@given(
+    st.sampled_from([lg, og_even, og_odd]),
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * n),
+            st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            max_size=8,
+        ),
+        st.integers(0, 1000),
+    )),
+)
+def test_localization_sum_equals_plain_evaluation(space_factory, case):
+    # rational coefficients, mixed degrees and rational points: the scaled,
+    # parity-grouped integer sum against evaluating V at every fixed point
+    n, terms, seed = case
+    space, V = space_factory(n), SparsePoly(n, terms)
+    point = seeded_points(n, 1, seed)[0]
+    plain = sum(
+        (V.evaluate([s * v for s, v in zip(fp.signs, point.values)])
+         / euler_factor(space, fp, point) for fp in fixed_points(space)),
+        Fraction(0),
+    )
+    if space_factory is og_even:
+        plain /= 2
+    assert localization_sum(V, space, point) == plain
 
 
 # -- cross_check ------------------------------------------------------------------

@@ -23,14 +23,12 @@ def test_og_even_constants_are_2_to_n_minus_1():
     assert constants[3] == Fraction(4)
 
 
-def test_og_even_oracle_skipped_only_on_non_decomposable():
-    report = run_verification(n_max=2, weight_max=5)
+def test_every_case_compares_every_oracle_point():
+    # og-even classes that are not 2*mu + rho(n-1) included
+    report = run_verification(n_max=2, weight_max=5, oracle_points=2)
     for case in report.cases:
-        if case.oracle_match is None:
-            assert case.space.kind is SpaceKind.ORTHOGONAL_EVEN
-            assert case.closed.mu is None
-        else:
-            assert case.oracle_points >= 1
+        assert case.oracle_points == 2 + 1
+        assert case.oracle_match is True
 
 
 def test_fault_injection_fails_exactly_one_case():
