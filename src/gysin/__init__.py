@@ -20,14 +20,10 @@ from .errors import (
     InexactDivision,
     InternalInconsistency,
     InvalidPartition,
-    MixedParity,
     NotSymmetric,
     VariableCountMismatch,
-    ZeroToNegativePower,
 )
 from .localization import (
-    CrossCheckReport,
-    CrossCheckSample,
     FixedPoint,
     GenericPoint,
     cross_check,
@@ -40,10 +36,8 @@ from .localization import (
 from .partitions import (
     Partition,
     Tableau,
-    conjugate,
     decompose,
     enumerate_ssyt,
-    partitions_in_box,
     partitions_of_weight,
     partitions_up_to_weight,
     rho,
@@ -53,13 +47,11 @@ from .pushforward import (
     PushforwardResult,
     closed_form,
     pushforward_numerator,
-    pushforward_parity_special,
     pushforward_schur,
     pushforward_symmetric,
 )
 from .schur import (
     elementary_symmetric,
-    even_chern_class,
     monomial_symmetric,
     schur_bialternant,
     schur_dual_jacobi_trudi,
@@ -74,8 +66,6 @@ from .verification import run_verification, table_rows
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossCheckReport",
-    "CrossCheckSample",
     "DegenerateEulerClass",
     "ExplicitSizeLimit",
     "FixedPoint",
@@ -84,7 +74,6 @@ __all__ = [
     "InexactDivision",
     "InternalInconsistency",
     "InvalidPartition",
-    "MixedParity",
     "NotSymmetric",
     "Partition",
     "PushforwardResult",
@@ -93,27 +82,22 @@ __all__ = [
     "SparsePoly",
     "Tableau",
     "VariableCountMismatch",
-    "ZeroToNegativePower",
     "closed_form",
-    "conjugate",
     "cross_check",
     "decompose",
     "default_point",
     "elementary_symmetric",
     "enumerate_ssyt",
     "euler_factor",
-    "even_chern_class",
     "fixed_points",
     "lg",
     "localization_sum",
     "monomial_symmetric",
     "og_even",
     "og_odd",
-    "partitions_in_box",
     "partitions_of_weight",
     "partitions_up_to_weight",
     "pushforward_numerator",
-    "pushforward_parity_special",
     "pushforward_schur",
     "pushforward_symmetric",
     "rho",

@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help='partition, e.g. "4,3,1" ("0" for empty)')
     p_push.add_argument("--method", choices=("residue", "closed", "abbv", "all"),
                         default="residue")
-    p_push.add_argument("--t", help="rational evaluation point, e.g. \"1,2\" or \"1/2,3\"")
+    p_push.add_argument("--t", help="rational evaluation point for the abbv and all methods, "
+                        "e.g. \"1,2\" or \"1/2,3\"; every method validates it")
 
     p_schur = sub.add_parser("schur", help="print a Schur polynomial")
     p_schur.add_argument("--lambda", dest="lam", required=True, metavar="LAMBDA")
@@ -89,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--weight-max", type=int, default=9)
     p_verify.add_argument("--points", type=int, default=2,
                           help="seeded oracle points per case (plus the default point)")
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help="test mode: corrupt one case to exercise mismatch reporting")
 
     p_table = sub.add_parser("table", help="tabulate push-forwards")
     p_table.add_argument("--space", required=True, choices=spaces)
@@ -147,15 +146,14 @@ def _cmd_schur(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     kinds = (SpaceKind(args.space),) if args.space else ALL_KINDS
     report = run_verification(n_max=args.n_max, weight_max=args.weight_max, kinds=kinds,
-                              seed=args.seed, oracle_points=args.points,
-                              inject_fault=args.inject_fault)
+                              seed=args.seed, oracle_points=args.points)
     lines = [
         f"verify: spaces={','.join(k.value for k in kinds)} n-max={args.n_max} "
         f"weight-max={args.weight_max} seed={args.seed} points={args.points + 1}"
     ]
     for case in report.cases:
-        extras = (f" mu={case.closed.mu.to_text()} constant={case.closed.constant}"
-                  if case.closed.mu is not None else "")
+        decomposition = case.closed.decomposition_text().items()
+        extras = "".join(f" {key}={text}" for key, text in decomposition)
         lines.append(
             f"{'ok  ' if case.ok else 'FAIL'} {case.space.label()} lambda={case.lam.to_text()} "
             f"value={case.residue.render('t')}{extras} oracle={case.oracle_match}"

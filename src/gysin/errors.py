@@ -17,20 +17,12 @@ class InexactDivision(GysinError):
     """
 
 
-class ZeroToNegativePower(GysinError):
-    """Evaluation hit 0**k with k < 0."""
-
-
 class InvalidPartition(GysinError):
     """Sequence is not weakly decreasing and non-negative, or does not fit."""
 
 
 class NotSymmetric(GysinError):
     """A polynomial expected to be symmetric in all variables is not."""
-
-
-class MixedParity(GysinError):
-    """Numerator mixes all-even and all-odd exponent vectors."""
 
 
 class DegenerateEulerClass(GysinError):

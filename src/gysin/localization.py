@@ -147,23 +147,16 @@ def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     """Exact fixed-point sum of V(eps * t) / Euler factor.
 
     The sum runs over all 2^n sign vectors; on og-even it covers both
-    components and is halved, once, for either kind of V.
+    components and is halved.
     """
     if V.nvars != space.n:
         raise VariableCountMismatch(
             f"class has {V.nvars} variables, space rank is {space.n}"
         )
-    points = fixed_points(space)
     items = list(V.terms().items())
     if not items:
         return _ZERO
-    if V.has_negative_exponents():
-        total = _ZERO
-        for fp in points:
-            signed = [s * v for s, v in zip(fp.signs, at.values)]
-            total += V.evaluate(signed) / euler_factor(space, fp, at)
-    else:
-        total = _polynomial_sum(items, space, points, at)
+    total = _polynomial_sum(items, space, fixed_points(space), at)
     return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
 
 
@@ -220,61 +213,10 @@ def _polynomial_sum(items, space: Space, points, at: GenericPoint) -> Fraction:
     return total / shared_denominator
 
 
-@dataclass(frozen=True)
-class CrossCheckSample:
-    point: tuple
-    lhs: Fraction  # localization sum
-    rhs: Fraction  # residue result evaluated at the point
+def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:
+    """True if the fixed-point sum of V equals ``value`` at every point.
 
-    @property
-    def match(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_dict(self) -> dict:
-        return {
-            "point": [str(v) for v in self.point],
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "match": self.match,
-        }
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    space: Space
-    samples: tuple
-
-    @property
-    def all_match(self) -> bool:
-        return all(s.match for s in self.samples)
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space.label(),
-            "all_match": self.all_match,
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
-
-def cross_check(V: SparsePoly, space: Space, trials: int = 20, seed: int = 0,
-                claimed: SparsePoly | None = None) -> CrossCheckReport:
-    """Compare the fixed-point sum against the residue result per point.
-
-    Points are the default (1, ..., n) plus ``trials`` seeded random ones.
-    ``claimed`` substitutes a caller-supplied result polynomial for the
-    residue computation, which is how a corrupted value is detected.
+    ``value`` is a push-forward computed some other way, as a polynomial
+    in t; only the values are compared.
     """
-    from .pushforward import pushforward_symmetric
-
-    if claimed is None:
-        claimed = pushforward_symmetric(V, space)
-    points = [default_point(space.n)] + seeded_points(space.n, trials, seed)
-    samples = tuple(
-        CrossCheckSample(
-            pt.values,
-            localization_sum(V, space, pt),
-            claimed.evaluate(pt.values),
-        )
-        for pt in points
-    )
-    return CrossCheckReport(space, samples)
+    return all(localization_sum(V, space, pt) == value.evaluate(pt.values) for pt in points)

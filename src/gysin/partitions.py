@@ -108,10 +108,6 @@ def rho(n: int) -> Partition:
     return Partition(range(n, 0, -1))
 
 
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
 def decompose(lam: Partition, n: int, staircase: Partition):
     """Return mu with lam == 2*mu + staircase componentwise, or None.
 
@@ -219,7 +215,3 @@ def partitions_up_to_weight(max_length: int, max_weight: int, max_part=None) -> 
     for w in range(max_weight + 1):
         yield from partitions_of_weight(w, max_length, max_part)
 
-
-def partitions_in_box(max_length: int, max_part: int) -> Iterator[Partition]:
-    """All partitions fitting in a max_length x max_part box."""
-    yield from partitions_up_to_weight(max_length, max_length * max_part, max_part)

@@ -1,16 +1,16 @@
-"""Sparse multivariate Laurent polynomial arithmetic over exact rationals.
+"""Sparse multivariate polynomial arithmetic over exact rationals.
 
 A polynomial in ``nvars`` variables is stored as a mapping from exponent
-tuples (one signed integer per variable) to nonzero ``Fraction``
+tuples (one non-negative integer per variable) to nonzero ``Fraction``
 coefficients; the zero polynomial is the empty mapping.  Example, in two
 variables::
 
     z1^2*z2 - 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(-3)}
 
 All arithmetic is exact, nothing is ever rounded, and equality of two
-polynomials is equality of their term maps.  Exponents may be negative:
-intermediate residue manipulations need Laurent terms even though every
-final result is an ordinary polynomial.
+polynomials is equality of their term maps.  Negative exponents are
+rejected on construction: the residue engine only ever extracts
+coefficients of ordinary polynomials.
 
 The canonical term order used for rendering, serialization and division
 is descending lexicographic on the exponent tuples.
@@ -22,11 +22,7 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    InexactDivision,
-    VariableCountMismatch,
-    ZeroToNegativePower,
-)
+from .errors import InexactDivision, VariableCountMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,6 +34,13 @@ def _as_fraction(value) -> Fraction:
 
 def _negated(exps):
     return tuple(-k for k in exps)
+
+
+def _check_exponents(e: tuple, nvars: int):
+    if len(e) != nvars:
+        raise VariableCountMismatch(f"exponent tuple {e} does not have {nvars} entries")
+    if any(k < 0 for k in e):
+        raise ValueError(f"negative exponent in {e}")
 
 
 class SparsePoly:
@@ -57,10 +60,7 @@ class SparsePoly:
         if terms:
             for exps, coeff in terms.items():
                 e = tuple(int(k) for k in exps)
-                if len(e) != nvars:
-                    raise VariableCountMismatch(
-                        f"exponent tuple {e} does not have {nvars} entries"
-                    )
+                _check_exponents(e, nvars)
                 c = _as_fraction(coeff)
                 if c:
                     clean[e] = c
@@ -128,9 +128,6 @@ class SparsePoly:
         if len(degrees) == 1:
             return degrees.pop()
         return None
-
-    def has_negative_exponents(self) -> bool:
-        return any(k < 0 for e in self._terms for k in e)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -244,15 +241,12 @@ class SparsePoly:
 
         Iterated leading-term elimination in the canonical order; the
         division is exact iff the eliminated remainder reaches zero, and
-        any stuck leading term raises :class:`InexactDivision`.  Only
-        defined for non-negative exponents (lex is a monomial order there).
+        any stuck leading term raises :class:`InexactDivision`.
         """
         if not isinstance(divisor, SparsePoly) or divisor.nvars != self.nvars:
             raise VariableCountMismatch("divisor has a different variable count")
         if not divisor._terms:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.has_negative_exponents() or divisor.has_negative_exponents():
-            raise ValueError("exact_div requires non-negative exponents")
         lead = max(divisor._terms)
         lead_c = divisor._terms[lead]
         tail = [(e, c) for e, c in divisor._terms.items() if e != lead]
@@ -305,12 +299,7 @@ class SparsePoly:
                 key = (i, k)
                 p = powers.get(key)
                 if p is None:
-                    base = values[i]
-                    if not base and k < 0:
-                        raise ZeroToNegativePower(
-                            f"variable {i + 1} is zero but appears with exponent {k}"
-                        )
-                    p = base ** k
+                    p = values[i] ** k
                     powers[key] = p
                 acc = acc * p
             total = total + acc
@@ -360,10 +349,7 @@ class SparsePoly:
         terms: dict = {}
         for rec in records:
             e = tuple(int(k) for k in rec["exp"])
-            if len(e) != nvars:
-                raise VariableCountMismatch(
-                    f"record exponents {e} do not have {nvars} entries"
-                )
+            _check_exponents(e, nvars)
             if e in terms:
                 raise ValueError(f"duplicate monomial {e} in records")
             c = Fraction(rec["coeff"])

@@ -1,12 +1,13 @@
 """Push-forward to a point via parity-filtered coefficient extraction.
 
 The iterated residue at infinity that computes the push-forward reduces,
-after the substitution z -> 1/z and a geometric-series expansion, to a
-single Laurent coefficient.  Concretely, with W the numerator (the class
-times the antisymmetrizing product prod_{i<j}(z_j - z_i) and the space
-prefactor): a term a * z^k contributes a * t^(k-1) when every component
-of k is odd and nothing otherwise, and the collected contributions are
-divided exactly by prod_{i<j}(t_j^2 - t_i^2).
+after the substitution z -> 1/z and a geometric-series expansion, to
+extracting coefficients of an ordinary polynomial.  Concretely, with W
+the numerator (the class times the antisymmetrizing product
+prod_{i<j}(z_j - z_i) and the space prefactor): a term a * z^k
+contributes a * t^(k-1) when every component of k is odd and nothing
+otherwise, and the collected contributions are divided exactly by
+prod_{i<j}(t_j^2 - t_i^2).
 
 For Schur classes there is also a closed form: the result vanishes unless
 lam = 2*mu + staircase, and then equals a space constant times
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, MixedParity, NotSymmetric, VariableCountMismatch
+from .errors import InternalInconsistency, NotSymmetric, VariableCountMismatch
 from .partitions import Partition, decompose
 from .poly import SparsePoly
 from .schur import check_size, schur_bialternant, schur_squared_args, vandermonde_factors
@@ -36,19 +37,29 @@ class PushforwardResult:
     mu: Partition | None = None
     constant: Fraction | None = None
 
+    def decomposition(self) -> dict:
+        """JSON fields "mu" (parts) and "constant"; both None without one."""
+        if self.mu is None:
+            return {"mu": None, "constant": None}
+        return {"mu": list(self.mu.parts), "constant": str(self.constant)}
+
+    def decomposition_text(self) -> dict:
+        """The same fields as display text; empty without a decomposition."""
+        if self.mu is None:
+            return {}
+        return {"mu": self.mu.to_text(), "constant": str(self.constant)}
+
     def to_dict(self) -> dict:
         return {
             "value": self.value.to_payload("t"),
             "text": self.value.render("t"),
-            "mu": list(self.mu.parts) if self.mu is not None else None,
-            "constant": str(self.constant) if self.constant is not None else None,
+            **self.decomposition(),
         }
 
     def text_lines(self) -> list:
-        lines = [f"value: {self.value.render('t')}"]
-        if self.mu is not None:
-            lines += [f"mu: {self.mu.to_text()}", f"constant: {self.constant}"]
-        return lines
+        return [f"value: {self.value.render('t')}"] + [
+            f"{key}: {text}" for key, text in self.decomposition_text().items()
+        ]
 
 
 def _check_numerator(p: SparsePoly, space: Space):
@@ -56,8 +67,6 @@ def _check_numerator(p: SparsePoly, space: Space):
         raise VariableCountMismatch(
             f"polynomial has {p.nvars} variables, space rank is {space.n}"
         )
-    if p.has_negative_exponents():
-        raise ValueError("push-forward input must be an ordinary polynomial")
 
 
 def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
@@ -120,22 +129,3 @@ def pushforward_schur(lam: Partition, space: Space) -> PushforwardResult:
         )
     return PushforwardResult(value, expected.mu, expected.constant)
 
-
-def pushforward_parity_special(W: SparsePoly, space: Space) -> SparsePoly:
-    """Push-forward of a parity-pure numerator; MixedParity otherwise.
-
-    An all-even W pushes forward to exactly 0 and an all-odd W with terms
-    a * z^(2m+1) gives (sum a * t^(2m)) / prod_{i<j}(t_j^2 - t_i^2) times
-    the space constant (on og-even the z_1...z_n prefactor swaps the two
-    parity classes).  The value is that of pushforward_numerator on every
-    space, so only the parity classification is done here.
-    """
-    _check_numerator(W, space)
-    n = space.n
-    classes = {
-        "odd" if odd == n else "even" if odd == 0 else "mixed"
-        for odd in (sum(k & 1 for k in exps) for exps in W.terms())
-    }
-    if len(classes) > 1 or "mixed" in classes:
-        raise MixedParity(f"numerator mixes exponent parities: {sorted(classes)}")
-    return pushforward_numerator(W, space)

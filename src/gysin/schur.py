@@ -182,14 +182,3 @@ def schur_squared_args(mu: Partition, nvars: int) -> SparsePoly:
     _validate(mu, nvars)
     return schur_bialternant(mu, nvars).square_variables()
 
-
-def even_chern_class(k: int, nvars: int) -> SparsePoly:
-    """Degree-2k coefficient of prod_i (1 - t_i^2), i.e. (-1)^k e_k(t^2).
-
-    These are the even Chern classes of a sum of line-bundle pairs with
-    opposite weights +-t_i; the odd ones vanish.
-    """
-    if k < 0 or k > nvars:
-        return SparsePoly.zero(nvars)
-    base = elementary_symmetric(k, nvars).square_variables()
-    return base if k % 2 == 0 else -base

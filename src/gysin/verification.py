@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExplicitSizeLimit
-from .localization import default_point, localization_sum, seeded_points
+from .localization import cross_check, default_point, seeded_points
 from .partitions import Partition, partitions_up_to_weight
 from .poly import SparsePoly
 from .pushforward import (
@@ -49,8 +49,7 @@ class CaseResult:
             "n": self.space.n,
             "lambda": list(self.lam.parts),
             "value": self.residue.render("t"),
-            "mu": list(self.closed.mu.parts) if self.closed.mu is not None else None,
-            "constant": str(self.closed.constant) if self.closed.constant is not None else None,
+            **self.closed.decomposition(),
             "closed_match": self.closed_match,
             "oracle_points": self.oracle_points,
             "oracle_match": self.oracle_match,
@@ -85,9 +84,7 @@ def evaluate_case(space: Space, lam: Partition, points) -> CaseResult:
         # s_mu(t^2), nonzero; the closed form already built it
         measured = measure_constant(residue, expected.value * (1 / expected.constant))
 
-    oracle_match = all(
-        localization_sum(schur, space, pt) == residue.evaluate(pt.values) for pt in points
-    )
+    oracle_match = cross_check(schur, space, residue, points)
     return CaseResult(
         space, lam, residue, expected, closed_match, len(points), oracle_match, measured
     )
@@ -100,7 +97,6 @@ class VerificationReport:
     seed: int
     oracle_points: int
     cases: list
-    fault_injected: bool
 
     @property
     def all_ok(self) -> bool:
@@ -127,7 +123,7 @@ class VerificationReport:
             "weight_max": self.weight_max,
             "seed": self.seed,
             "oracle_points": self.oracle_points,
-            "fault_injected": self.fault_injected,
+            "fault_injected": False,  # the key stays so the JSON layout is unchanged
             "all_ok": self.all_ok,
             "og_even_constants": {
                 str(n): (str(c) if c is not None else None)
@@ -138,7 +134,7 @@ class VerificationReport:
 
 
 def run_verification(n_max: int = 3, weight_max: int = 9, kinds=None, seed: int = 0,
-                     oracle_points: int = 2, inject_fault: bool = False) -> VerificationReport:
+                     oracle_points: int = 2) -> VerificationReport:
     """Run residue/closed/fixed-point comparisons over all partitions with
     at most n parts and bounded weight, for every requested space kind."""
     if n_max > MAX_RANK:
@@ -147,6 +143,8 @@ def run_verification(n_max: int = 3, weight_max: int = 9, kinds=None, seed: int 
         raise ValueError("n_max must be at least 1")
     if oracle_points < 0:
         raise ValueError(f"oracle_points must be non-negative, got {oracle_points}")
+    if weight_max < 0:
+        raise ValueError(f"weight_max must be non-negative, got {weight_max}")
     if kinds is None:
         kinds = ALL_KINDS
     cases = []
@@ -156,20 +154,7 @@ def run_verification(n_max: int = 3, weight_max: int = 9, kinds=None, seed: int 
             points = [default_point(n)] + seeded_points(n, oracle_points, seed)
             for lam in partitions_up_to_weight(n, weight_max):
                 cases.append(evaluate_case(space, lam, points))
-    if inject_fault and cases:
-        first = cases[0]
-        corrupted = first.residue + 1
-        cases[0] = CaseResult(
-            first.space,
-            first.lam,
-            corrupted,
-            first.closed,
-            corrupted == first.closed.value,
-            first.oracle_points,
-            False,
-            first.measured_constant,
-        )
-    return VerificationReport(n_max, weight_max, seed, oracle_points, cases, inject_fault)
+    return VerificationReport(n_max, weight_max, seed, oracle_points, cases)
 
 
 def table_rows(space: Space, weight_max: int) -> list:
@@ -187,8 +172,9 @@ def table_rows(space: Space, weight_max: int) -> list:
                 "space": space.kind.value,
                 "n": space.n,
                 "lambda": lam.to_text(),
-                "mu": result.mu.to_text() if result.mu is not None else "-",
-                "constant": str(result.constant) if result.constant is not None else "-",
+                "mu": "-",  # placeholders, replaced in place when lam decomposes
+                "constant": "-",
+                **result.decomposition_text(),
                 "value": result.value.render("t"),
                 "terms": result.value.to_records(),
             }

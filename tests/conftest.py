@@ -1,4 +1,8 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from gysin import verification
+from gysin.spaces import lg
 
 settings.register_profile(
     "exact",
@@ -8,3 +12,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+
+
+@pytest.fixture
+def corrupt_lg1_residue(monkeypatch):
+    """Make the residue path of a sweep wrong by 1 on s_1 over lg(1) only."""
+    honest = verification.pushforward_symmetric
+
+    def faulty(V, space):
+        value = honest(V, space)
+        return value + 1 if space == lg(1) and V.homogeneous_degree() == 1 else value
+
+    monkeypatch.setattr(verification, "pushforward_symmetric", faulty)

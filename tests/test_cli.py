@@ -212,12 +212,18 @@ def test_verify_json_reports_og_even_constant(capsys):
     assert all(case["ok"] for case in payload["cases"])
 
 
-def test_verify_fault_injection_exits_1(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--n-max", "1", "--weight-max", "2", "--inject-fault"
-    )
+def test_verify_fault_injection_exits_1(capsys, corrupt_lg1_residue):
+    argv = ("verify", "--n-max", "1", "--weight-max", "2", "--space", "lg")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL lg(1) lambda=1 " in out
+    assert out.count("FAIL") == 2  # the case line and the result line
+    assert out.rstrip().endswith("result: FAIL (3 cases)")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    assert [case["ok"] for case in payload["cases"]] == [True, False, True]
 
 
 def test_verify_single_space(capsys):
@@ -233,6 +239,13 @@ def test_verify_negative_points_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "oracle_points" in err
+
+
+def test_verify_negative_weight_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "1", "--weight-max", "-3")
+    assert code == 2
+    assert out == ""
+    assert "weight_max" in err
 
 
 def test_verify_rank_guard(capsys):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -120,13 +119,6 @@ def test_localization_sum_wrong_nvars():
         localization_sum(SparsePoly.constant(3, 1), lg(2), GenericPoint([1, 2]))
 
 
-def test_localization_sum_laurent_fallback():
-    # z1 + 1/z1 over LG(1): t/(2t) + (-t)/(-2t) + (1/t)/(2t) + (-1/t)/(-2t)
-    V = SparsePoly(1, {(1,): 1, (-1,): 1})
-    expected = Fraction(1) + Fraction(1, 25)
-    assert localization_sum(V, lg(1), GenericPoint([5])) == expected
-
-
 def test_scaling_covariance():
     # homogeneous V of degree d scales like c^(d - dim)
     V = schur_bialternant(Partition([4, 1]), 2)  # degree 5, dim LG(2) = 3
@@ -178,34 +170,26 @@ def test_localization_sum_equals_plain_evaluation(space_factory, case):
 
 # -- cross_check ------------------------------------------------------------------
 
+def lg2_points(trials, seed):
+    return [default_point(2)] + seeded_points(2, trials, seed)
+
+
 def test_cross_check_all_match():
     V = schur_bialternant(Partition([4, 1]), 2)
-    report = cross_check(V, lg(2), trials=20, seed=0)
-    assert report.all_match
-    assert len(report.samples) == 21  # default point + 20 seeded
+    value = pushforward_symmetric(V, lg(2))
+    assert cross_check(V, lg(2), value, lg2_points(20, 0))
 
 
 def test_cross_check_zero_case():
     V = schur_bialternant(Partition([3, 1]), 2)
-    report = cross_check(V, lg(2), trials=5, seed=0)
-    assert report.all_match
-    assert all(s.lhs == 0 and s.rhs == 0 for s in report.samples)
+    points = lg2_points(5, 0)
+    assert all(localization_sum(V, lg(2), pt) == 0 for pt in points)
+    assert cross_check(V, lg(2), SparsePoly.zero(2), points)
 
 
 def test_cross_check_detects_corrupted_result():
     V = schur_bialternant(Partition([4, 1]), 2)
-    honest = pushforward_symmetric(V, lg(2))
-    report = cross_check(V, lg(2), trials=3, seed=0, claimed=honest + 1)
-    assert not report.all_match
-    assert all(not s.match for s in report.samples)
-
-
-def test_cross_check_report_serializes_to_json():
-    V = schur_bialternant(Partition([2, 1]), 2)
-    report = cross_check(V, lg(2), trials=2, seed=3)
-    payload = json.loads(json.dumps(report.to_dict()))
-    assert payload["all_match"] is True
-    assert len(payload["samples"]) == 3
-    sample = payload["samples"][0]
-    assert set(sample) == {"point", "lhs", "rhs", "match"}
-    assert sample["lhs"] == sample["rhs"] == "1"
+    corrupted = pushforward_symmetric(V, lg(2)) + 1
+    points = lg2_points(3, 0)
+    assert not cross_check(V, lg(2), corrupted, points)
+    assert not any(cross_check(V, lg(2), corrupted, [pt]) for pt in points)

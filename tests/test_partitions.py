@@ -6,7 +6,6 @@ from gysin.partitions import (
     Partition,
     decompose,
     enumerate_ssyt,
-    partitions_in_box,
     partitions_of_weight,
     partitions_up_to_weight,
     rho,
@@ -146,8 +145,3 @@ def test_partitions_of_weight():
 def test_partitions_up_to_weight_counts():
     # number of partitions of w into at most 3 parts, summed over w <= 5
     assert len(list(partitions_up_to_weight(3, 5))) == 1 + 1 + 2 + 3 + 4 + 5
-
-
-def test_partitions_in_box():
-    got = {p.parts for p in partitions_in_box(2, 2)}
-    assert got == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}

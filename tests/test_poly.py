@@ -3,11 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gysin.errors import (
-    InexactDivision,
-    VariableCountMismatch,
-    ZeroToNegativePower,
-)
+from gysin.errors import InexactDivision, VariableCountMismatch
 from gysin.poly import SparsePoly
 
 
@@ -26,8 +22,8 @@ coefficients = st.fractions(
 ).filter(lambda c: c != 0)
 
 
-def polys(nvars, min_exp=0, max_exp=4, max_terms=5):
-    exps = st.tuples(*([st.integers(min_exp, max_exp)] * nvars))
+def polys(nvars, max_exp=4, max_terms=5):
+    exps = st.tuples(*([st.integers(0, max_exp)] * nvars))
     return st.dictionaries(exps, coefficients, max_size=max_terms).map(
         lambda d: SparsePoly(nvars, d)
     )
@@ -88,10 +84,6 @@ def test_mul_one_is_identity():
     assert 1 * p == p
 
 
-def test_mul_laurent_exponents():
-    assert (z1 * z2) * P(2, {(-1, 0): 1}) == z2
-
-
 def test_mul_mismatched_nvars():
     with pytest.raises(VariableCountMismatch):
         z1 * SparsePoly.variable(1, 0)
@@ -120,6 +112,7 @@ def test_exact_div_by_zero():
 
 
 def test_exact_div_rejects_laurent_input():
+    # a Laurent dividend cannot be built, so division never sees one
     with pytest.raises(ValueError):
         P(2, {(-1, 0): 1}).exact_div(z1)
 
@@ -139,15 +132,6 @@ def test_evaluate_simple():
 
 def test_evaluate_zero_polynomial():
     assert SparsePoly.zero(2).evaluate([5, Fraction(1, 7)]) == 0
-
-
-def test_evaluate_zero_to_negative_power():
-    with pytest.raises(ZeroToNegativePower):
-        P(1, {(-1,): 1}).evaluate([0])
-
-
-def test_evaluate_negative_exponents():
-    assert P(1, {(-2,): 1}).evaluate([Fraction(1, 3)]) == 9
 
 
 @given(polys(2), polys(2), st.tuples(coefficients, coefficients))
@@ -216,13 +200,27 @@ def test_records_are_canonically_ordered():
 
 
 def test_records_roundtrip_examples():
-    p = P(3, {(4, 0, -2): Fraction(10**40, 3), (0, 1, 0): -7})
+    p = P(3, {(4, 0, 2): Fraction(10**40, 3), (0, 1, 0): -7})
     assert SparsePoly.from_records(3, p.to_records()) == p
 
 
-@given(polys(3, min_exp=-3, max_exp=5))
+@given(polys(3, max_exp=5))
 def test_records_roundtrip(p):
     assert SparsePoly.from_records(3, p.to_records()) == p
+
+
+@given(
+    polys(3),
+    st.tuples(*[st.integers(-4, 4)] * 3).filter(lambda e: min(e) < 0),
+    coefficients,
+)
+def test_negative_exponents_rejected(p, bad, coeff):
+    # one Laurent term among ordinary ones is refused by either constructor
+    with pytest.raises(ValueError):
+        SparsePoly(3, {**p.terms(), bad: coeff})
+    records = p.to_records() + [{"coeff": str(coeff), "exp": list(bad)}]
+    with pytest.raises(ValueError):
+        SparsePoly.from_records(3, records)
 
 
 def test_from_records_rejects_duplicates():

@@ -8,21 +8,19 @@ from gysin.errors import (
     ExplicitSizeLimit,
     InexactDivision,
     InvalidPartition,
-    MixedParity,
     NotSymmetric,
     VariableCountMismatch,
 )
-from gysin.localization import default_point, localization_sum, seeded_points
+from gysin.localization import cross_check, default_point, localization_sum, seeded_points
 from gysin.partitions import Partition, decompose, partitions_up_to_weight, rho
 from gysin.poly import SparsePoly
 from gysin.pushforward import (
     closed_form,
     pushforward_numerator,
-    pushforward_parity_special,
     pushforward_schur,
     pushforward_symmetric,
 )
-from gysin.schur import _perm_sign, schur_bialternant, schur_squared_args
+from gysin.schur import _perm_sign, schur_bialternant, schur_squared_args, vandermonde_factors
 from gysin.spaces import lg, og_even, og_odd
 
 z1 = SparsePoly.variable(2, 0)
@@ -215,20 +213,24 @@ def test_og_even_constant_is_2_to_n_minus_1():
 # -- parity special case -----------------------------------------------------------
 
 def test_parity_all_even_vanishes():
-    assert pushforward_parity_special(z1 ** 2 * z2 ** 2, lg(2)) == 0
+    assert pushforward_numerator(z1 ** 2 * z2 ** 2, lg(2)) == 0
 
 
 def test_parity_all_odd_example():
     W = z1 * z2 ** 3 - z1 ** 3 * z2
-    assert pushforward_parity_special(W, lg(2)) == 1
+    assert pushforward_numerator(W, lg(2)) == 1
 
 
-def test_parity_mixed_raises():
-    with pytest.raises(MixedParity):
-        pushforward_parity_special(z1 * z2 + z1 ** 2 * z2, lg(2))
+def symmetric_part(W, n):
+    """V with W == V * prod_{i<j}(z_j - z_i)."""
+    for factor in vandermonde_factors(n, reverse=True):
+        W = W.exact_div(factor)
+    return W
 
 
 def test_parity_matches_numerator_on_random_cases():
+    # all-even numerators push to 0; an all-odd W = V * prod_{i<j}(z_j - z_i)
+    # pushes to the fixed-point sum of V
     rng = random.Random(99)
     for case in range(50):
         n = rng.randrange(1, 4)
@@ -239,24 +241,23 @@ def test_parity_matches_numerator_on_random_cases():
                 e = tuple(2 * rng.randrange(0, 4) for _ in range(n))
                 terms[e] = terms.get(e, 0) + rng.randrange(-5, 6)
             W = SparsePoly(n, terms)
-            assert pushforward_parity_special(W, space) == 0
             assert pushforward_numerator(W, space) == 0
         else:
             odds = sorted(rng.sample([1, 3, 5, 7, 9], n), reverse=True)
             W = antisymmetrize(tuple(odds), n, rng.randrange(1, 7))
-            assert pushforward_parity_special(W, space) == pushforward_numerator(W, space)
+            value = pushforward_numerator(W, space)
+            assert cross_check(symmetric_part(W, n), space, value, [default_point(n)])
 
 
 def test_parity_og_even_delegates():
     # the z1..zn prefactor flips parity: all-odd inputs land on 0 and
     # antisymmetric all-even inputs on the generic extraction
     W_odd = antisymmetrize((3, 1), 2, 2)
-    assert pushforward_parity_special(W_odd, og_even(2)) == 0
     assert pushforward_numerator(W_odd, og_even(2)) == 0
     W_even = antisymmetrize((4, 2), 2, 3)
-    assert pushforward_parity_special(W_even, og_even(2)) == pushforward_numerator(
-        W_even, og_even(2)
-    )
+    value = pushforward_numerator(W_even, og_even(2))
+    assert value != 0
+    assert cross_check(symmetric_part(W_even, 2), og_even(2), value, [default_point(2)])
 
 
 # -- oracle agreement on the orthogonal spaces ---------------------------------------

@@ -5,7 +5,6 @@ from gysin.partitions import Partition, enumerate_ssyt, partitions_up_to_weight
 from gysin.poly import SparsePoly
 from gysin.schur import (
     elementary_symmetric,
-    even_chern_class,
     monomial_symmetric,
     schur_bialternant,
     schur_dual_jacobi_trudi,
@@ -109,26 +108,15 @@ def test_ssyt_count_matches_schur_at_ones():
             assert count == schur_bialternant(lam, nvars).evaluate([1] * nvars)
 
 
-def test_even_chern_class():
-    t1sq = SparsePoly(2, {(2, 0): 1})
-    t2sq = SparsePoly(2, {(0, 2): 1})
-    assert even_chern_class(0, 2) == 1
-    assert even_chern_class(1, 2) == -(t1sq + t2sq)
-    assert even_chern_class(2, 2) == t1sq * t2sq
-    assert even_chern_class(3, 2) == 0
-    # product expansion of (1 - t1^2)(1 - t2^2): classes sum back up
-    total = even_chern_class(0, 2) + even_chern_class(1, 2) + even_chern_class(2, 2)
-    assert total.evaluate([2, 3]) == (1 - 4) * (1 - 9)
-
-
 def test_e_to_c_substitution_reproduces_squared_schur():
     # replacing each e_i by (-1)^i c_{2i} in the e-presentation of s_mu
-    # gives exactly s_mu at squared variables
+    # gives exactly s_mu at squared variables; c_{2i} = (-1)^i e_i(t^2) is
+    # the degree-2i part of prod_i (1 - t_i^2)
     for nvars in (1, 2, 3):
         for mu in partitions_up_to_weight(nvars, 4):
             def substituted(k, n=nvars):
                 sign = 1 if k % 2 == 0 else -1
-                return sign * even_chern_class(k, n)
+                return sign * (sign * elementary_symmetric(k, n).square_variables())
 
             assert schur_from_elementary(mu, substituted, nvars) == schur_squared_args(
                 mu, nvars

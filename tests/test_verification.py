@@ -31,10 +31,13 @@ def test_every_case_compares_every_oracle_point():
         assert case.oracle_match is True
 
 
-def test_fault_injection_fails_exactly_one_case():
-    report = run_verification(n_max=1, weight_max=3, inject_fault=True)
+def test_fault_injection_fails_exactly_one_case(corrupt_lg1_residue):
+    report = run_verification(n_max=1, weight_max=3)
     assert not report.all_ok
-    assert sum(1 for case in report.cases if not case.ok) == 1
+    failed = [case for case in report.cases if not case.ok]
+    assert len(failed) == 1
+    # both independent checks see the corrupted value
+    assert not failed[0].closed_match and not failed[0].oracle_match
 
 
 def test_rank_guard():
@@ -45,6 +48,12 @@ def test_rank_guard():
 def test_negative_oracle_points_rejected():
     with pytest.raises(ValueError):
         run_verification(n_max=1, weight_max=2, oracle_points=-1)
+
+
+def test_negative_weight_max_rejected():
+    # a sweep over no partitions would otherwise report all_ok
+    with pytest.raises(ValueError):
+        run_verification(n_max=1, weight_max=-3)
 
 
 def test_report_dict_is_json_serializable():
