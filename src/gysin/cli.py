@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,23 @@ def _parse_point(text: str, n: int) -> GenericPoint:
     if len(values) != n:
         raise GysinError(f"expected {n} coordinates in --t, got {len(values)}")
     return GenericPoint(values)
+
+
+# A value that starts with "-" and is not a plain number is read by argparse
+# as an option name, so "--t -1/2,3" is glued into "--t=-1/2,3".
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _glue_negative_point(argv: list) -> list:
+    if not argv or argv[0] != "pushforward":
+        return argv
+    out = []
+    for token in argv:
+        if out and out[-1] == "--t" and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"--t={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _emit(args, out, payload: dict, lines: list) -> None:
@@ -186,7 +204,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_glue_negative_point(argv))
     try:
         return _DISPATCH[args.command](args, sys.stdout)
     except InternalInconsistency as exc:

@@ -14,12 +14,22 @@ coefficients of ordinary polynomials.
 
 The canonical term order used for rendering, serialization and division
 is descending lexicographic on the exponent tuples.
+
+The division kernel works on integers and the API on ``Fraction``:
+``exact_quotient`` scales the dividend and each divisor once to a common
+denominator, divides with ``divmod`` (a ``Fraction`` appears only where a
+leading coefficient other than +-1 leaves a remainder) and converts the
+quotient back once per chain of divisors.  Every coefficient that
+``terms``, ``coefficient``, ``leading_term`` and ``sorted_terms`` return
+is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import lcm
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InexactDivision, VariableCountMismatch
@@ -33,7 +43,7 @@ def _as_fraction(value) -> Fraction:
 
 
 def _negated(exps):
-    return tuple(-k for k in exps)
+    return tuple(map(neg, exps))
 
 
 def _check_exponents(e: tuple, nvars: int):
@@ -104,6 +114,12 @@ class SparsePoly:
     def terms(self) -> dict:
         """A copy of the term map."""
         return dict(self._terms)
+
+    def integer_terms(self) -> tuple:
+        """(terms, denominator): the term map with integer coefficients
+        over the least common denominator of the coefficients."""
+        den = lcm(*(c.denominator for c in self._terms.values()))
+        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
 
     def sorted_terms(self) -> list:
         """(exponents, coeff) pairs in canonical (descending lex) order."""
@@ -243,42 +259,7 @@ class SparsePoly:
         division is exact iff the eliminated remainder reaches zero, and
         any stuck leading term raises :class:`InexactDivision`.
         """
-        if not isinstance(divisor, SparsePoly) or divisor.nvars != self.nvars:
-            raise VariableCountMismatch("divisor has a different variable count")
-        if not divisor._terms:
-            raise ZeroDivisionError("division by the zero polynomial")
-        lead = max(divisor._terms)
-        lead_c = divisor._terms[lead]
-        tail = [(e, c) for e, c in divisor._terms.items() if e != lead]
-        rem = dict(self._terms)
-        heap = [_negated(e) for e in rem]
-        heapq.heapify(heap)
-        out: dict = {}
-        while rem:
-            exps = _negated(heapq.heappop(heap))
-            if exps not in rem:
-                continue  # stale heap entry
-            c = rem.pop(exps)
-            q_exps = tuple(a - b for a, b in zip(exps, lead))
-            if any(k < 0 for k in q_exps):
-                raise InexactDivision(
-                    f"leading term with exponents {exps} is not divisible"
-                )
-            q_c = c / lead_c
-            out[q_exps] = q_c
-            for e, dc in tail:
-                ke = tuple(a + b for a, b in zip(q_exps, e))
-                v = rem.get(ke)
-                if v is None:
-                    rem[ke] = -q_c * dc
-                    heapq.heappush(heap, _negated(ke))
-                else:
-                    v = v - q_c * dc
-                    if v:
-                        rem[ke] = v
-                    else:
-                        del rem[ke]
-        return SparsePoly._raw(self.nvars, out)
+        return exact_quotient(self, [divisor])
 
     # -- evaluation and substitutions -----------------------------------
 
@@ -381,3 +362,65 @@ class SparsePoly:
             else:
                 chunks.append((" + " if coeff > 0 else " - ") + body)
         return "".join(chunks)
+
+
+def exact_quotient(dividend: SparsePoly, divisors) -> SparsePoly:
+    """dividend / (d_1 * d_2 * ...), dividing by one divisor after another.
+
+    Raises :class:`InexactDivision` as soon as one division is not exact.
+    The chain runs on integer coefficients: each polynomial is scaled once
+    to a common denominator, and the quotient becomes ``Fraction`` once,
+    at the end.
+    """
+    divisors = list(divisors)
+    for divisor in divisors:
+        if not isinstance(divisor, SparsePoly) or divisor.nvars != dividend.nvars:
+            raise VariableCountMismatch("divisor has a different variable count")
+        if not divisor._terms:
+            raise ZeroDivisionError("division by the zero polynomial")
+    terms, den = dividend.integer_terms()
+    scale = Fraction(1, den)
+    for divisor in divisors:
+        divisor_terms, divisor_den = divisor.integer_terms()
+        terms = _divide_terms(terms, divisor_terms)
+        scale *= divisor_den
+    return SparsePoly._raw(dividend.nvars, {e: c * scale for e, c in terms.items()})
+
+
+def _divide_terms(dividend: dict, divisor: dict) -> dict:
+    # Leading-term elimination on term maps with integer coefficients.  A
+    # quotient coefficient stays an int while the divisor's leading
+    # coefficient divides it and becomes a Fraction where it does not.
+    lead = max(divisor)
+    lead_c = divisor[lead]
+    tail = [(e, c) for e, c in divisor.items() if e != lead]
+    rem = dict(dividend)
+    heap = [_negated(e) for e in rem]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    out: dict = {}
+    while rem:
+        exps = _negated(pop(heap))
+        c = rem.pop(exps, None)
+        if c is None:
+            continue  # stale heap entry
+        q_exps = tuple(map(sub, exps, lead))
+        if min(q_exps, default=0) < 0:
+            raise InexactDivision(f"leading term with exponents {exps} is not divisible")
+        q_c, r = divmod(c, lead_c)
+        if r:
+            q_c = Fraction(c, lead_c)
+        out[q_exps] = q_c
+        for e, dc in tail:
+            ke = tuple(map(add, q_exps, e))
+            v = rem.get(ke)
+            if v is None:
+                rem[ke] = -q_c * dc
+                push(heap, _negated(ke))
+            else:
+                v = v - q_c * dc
+                if v:
+                    rem[ke] = v
+                else:
+                    del rem[ke]
+    return out

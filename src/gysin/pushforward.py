@@ -9,6 +9,12 @@ contributes a * t^(k-1) when every component of k is odd and nothing
 otherwise, and the collected contributions are divided exactly by
 prod_{i<j}(t_j^2 - t_i^2).
 
+For a symmetric class V only the all-odd part of W is built: each of the
+n! signed monomials of the Vandermonde product is multiplied by the terms
+of V of the one parity mask that makes the result all-odd, in integer
+arithmetic, and the full product W never exists.  ``pushforward_numerator``
+takes a given W and filters its odd terms instead.
+
 For Schur classes there is also a closed form: the result vanishes unless
 lam = 2*mu + staircase, and then equals a space constant times
 s_mu(t_1^2, ..., t_n^2).  Every Schur push-forward computed here verifies
@@ -22,8 +28,15 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, NotSymmetric, VariableCountMismatch
 from .partitions import Partition, decompose
-from .poly import SparsePoly
-from .schur import check_size, schur_bialternant, schur_squared_args, vandermonde_factors
+from .poly import SparsePoly, exact_quotient
+from .schur import (
+    alternant,
+    check_rank,
+    check_size,
+    schur_bialternant,
+    schur_squared_args,
+    vandermonde_factors,
+)
 from .spaces import Space
 
 
@@ -67,19 +80,64 @@ def _check_numerator(p: SparsePoly, space: Space):
         raise VariableCountMismatch(
             f"polynomial has {p.nvars} variables, space rank is {space.n}"
         )
+    check_rank(space.n)
+
+
+def _divide(numerator: SparsePoly) -> SparsePoly:
+    # exact division by prod_{i<j}(t_j^2 - t_i^2)
+    factors = vandermonde_factors(numerator.nvars, reverse=True, squared=True)
+    return exact_quotient(numerator, factors)
 
 
 def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
-    # a * z^k with all k odd -> a * t^(k-1), then exact division by
-    # prod_{i<j}(t_j^2 - t_i^2)
+    # a * z^k with all k odd -> a * t^(k-1), then the exact division
     shifted = {
         tuple(k - 1 for k in exps): coeff
         for exps, coeff in W.extract_odd_terms().items()
     }
-    result = SparsePoly(n, shifted)
-    for factor in vandermonde_factors(n, reverse=True, squared=True):
-        result = result.exact_div(factor)
-    return result
+    return _divide(SparsePoly(n, shifted))
+
+
+def _odd_numerator(V: SparsePoly, space: Space) -> SparsePoly:
+    """The all-odd terms a * z^k of V * prod_{i<j}(z_j - z_i) * prefactor,
+    already shifted to a * t^(k-1).
+
+    The Vandermonde is the signed sum of the n! monomials z^d (d a
+    permutation of 0..n-1) and the prefactor is c * z^p, so a term
+    z^e * z^d * z^p is all-odd exactly when e has the parity of d + p - 1.
+    Each d therefore meets only V's terms of that one parity mask.
+    Coefficients are integers over V's common denominator, and exponent
+    vectors are packed into one integer, ``width`` bits per variable, so
+    that adding exponent vectors is one integer addition.  Every sum
+    e + d + p - 1 that is kept lies in [0, max(e) + n), so it fits.
+    """
+    n = space.n
+    p, constant = space.numerator_prefactor().leading_term()
+    terms, den = V.integer_terms()
+    width = (max((max(e) for e in terms), default=0) + n).bit_length()
+
+    def pack(exps):
+        return sum(k << (width * i) for i, k in enumerate(exps))
+
+    groups: dict = {}
+    for e, c in terms.items():
+        groups.setdefault(tuple(k & 1 for k in e), []).append((pack(e), c))
+    acc: dict = {}
+    get = acc.get
+    for d, sign in alternant(tuple(range(n)), n).terms().items():
+        shift = tuple(a + b - 1 for a, b in zip(d, p))
+        group = groups.get(tuple(k & 1 for k in shift))
+        if group is None:
+            continue
+        offset, s = pack(shift), int(sign)
+        for e, c in group:
+            key = e + offset
+            acc[key] = get(key, 0) + s * c
+    scale, low = constant / den, (1 << width) - 1
+    return SparsePoly(n, {
+        tuple((key >> (width * i)) & low for i in range(n)): c * scale
+        for key, c in acc.items()
+    })
 
 
 def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
@@ -93,14 +151,15 @@ def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
 
 
 def pushforward_symmetric(V: SparsePoly, space: Space) -> SparsePoly:
-    """Push-forward of the class whose fixed-point restriction is V."""
+    """Push-forward of the class whose fixed-point restriction is V.
+
+    Only the all-odd part of the numerator is built (``_odd_numerator``);
+    ``pushforward_numerator`` of the full product gives the same value.
+    """
     _check_numerator(V, space)
     if not V.is_symmetric():
         raise NotSymmetric("push-forward input must be a symmetric polynomial")
-    W = V
-    for factor in vandermonde_factors(space.n, reverse=True):
-        W = W * factor
-    return pushforward_numerator(W, space)
+    return _divide(_odd_numerator(V, space))
 
 
 def closed_form(lam: Partition, space: Space) -> PushforwardResult:

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .errors import ExplicitSizeLimit, InvalidPartition
 from .partitions import Partition, enumerate_ssyt
-from .poly import SparsePoly
+from .poly import SparsePoly, exact_quotient
 
 # The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
 # refuse larger ranks.
@@ -33,11 +33,16 @@ def _validate(lam: Partition, nvars: int):
         raise InvalidPartition(f"partition {lam} has more than {nvars} parts")
 
 
-def check_size(lam: Partition, nvars: int):
-    """The part-count and rank guards of every n!-sized computation."""
-    _validate(lam, nvars)
+def check_rank(nvars: int):
+    """The rank guard of every n!-sized computation."""
     if nvars > MAX_RANK:
         raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {nvars}")
+
+
+def check_size(lam: Partition, nvars: int):
+    """The part-count and rank guards of every n!-sized Schur computation."""
+    _validate(lam, nvars)
+    check_rank(nvars)
 
 
 def elementary_symmetric(k: int, nvars: int) -> SparsePoly:
@@ -111,10 +116,7 @@ def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     Vandermonde prod_{i<j}(z_i - z_j)."""
     check_size(lam, nvars)
     shifted = tuple(lam.part(r) + nvars - 1 - r for r in range(nvars))
-    result = alternant(shifted, nvars)
-    for factor in vandermonde_factors(nvars):
-        result = result.exact_div(factor)
-    return result
+    return exact_quotient(alternant(shifted, nvars), vandermonde_factors(nvars))
 
 
 def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:

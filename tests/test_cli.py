@@ -107,6 +107,24 @@ def test_pushforward_method_abbv(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pushforward_negative_point_either_spelling(capsys, fmt):
+    # a --t value that starts with "-" works after a space as after "="
+    argv = ["pushforward", "--space", "lg", "--n", "2", "--lambda", "4,1",
+            "--method", "abbv", "--format", fmt]
+    spaced = run_cli(capsys, *argv, "--t", "-1/2,3")
+    glued = run_cli(capsys, *argv, "--t=-1/2,3")
+    assert spaced == glued
+    code, out, err = spaced
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["t"] == ["-1/2", "3"]
+        assert payload["oracle"] == "37/4"  # t1^2 + t2^2
+    else:
+        assert "t: -1/2,3\noracle: 37/4\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("method", ["residue", "closed", "abbv", "all"])
 def test_pushforward_golden_stdout(capsys, method, fmt):
     code, out, err = run_cli(

@@ -124,6 +124,27 @@ def test_exact_div_roundtrip(q, d):
     assert (q * d).exact_div(d) == q
 
 
+def non_unit_leading(p):
+    return abs(p.leading_term()[1]) != 1
+
+
+def non_constant(p):
+    return any(sum(e) for e in p.terms())
+
+
+@given(polys(3, max_exp=2), polys(3, max_exp=2, max_terms=3).filter(bool)
+       .filter(non_unit_leading).filter(non_constant), coefficients)
+def test_exact_div_integer_kernel_with_rational_divisor(q, d, c):
+    # the kernel divides integers; a leading coefficient other than +-1
+    # takes the Fraction fallback, and the API still returns Fractions
+    quotient = (q * d).exact_div(d)
+    assert quotient == q
+    assert all(type(v) is Fraction for v in quotient.terms().values())
+    # d has positive degree, so it does not divide q*d plus a constant
+    with pytest.raises(InexactDivision):
+        (q * d + c).exact_div(d)
+
+
 # -- evaluate -----------------------------------------------------------
 
 def test_evaluate_simple():

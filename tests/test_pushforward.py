@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gysin.errors import (
     ExplicitSizeLimit,
@@ -20,8 +21,14 @@ from gysin.pushforward import (
     pushforward_schur,
     pushforward_symmetric,
 )
-from gysin.schur import _perm_sign, schur_bialternant, schur_squared_args, vandermonde_factors
-from gysin.spaces import lg, og_even, og_odd
+from gysin.schur import (
+    _perm_sign,
+    monomial_symmetric,
+    schur_bialternant,
+    schur_squared_args,
+    vandermonde_factors,
+)
+from gysin.spaces import Space, SpaceKind, lg, og_even, og_odd
 
 z1 = SparsePoly.variable(2, 0)
 z2 = SparsePoly.variable(2, 1)
@@ -99,6 +106,46 @@ def test_symmetric_rejects_asymmetric_input():
 def test_symmetric_rejects_laurent_input():
     with pytest.raises(ValueError):
         pushforward_symmetric(SparsePoly(1, {(-1,): 1}), lg(1))
+
+
+def test_rank_guard_comes_before_any_work():
+    # an asymmetric input: without the guard first, the symmetry check or
+    # the n!-sized expansion would run instead
+    for n in (9, 12):
+        V = SparsePoly.variable(n, 0)
+        for push in (pushforward_symmetric, pushforward_numerator):
+            for space in (lg(n), og_even(n), og_odd(n)):
+                with pytest.raises(ExplicitSizeLimit, match=f"^rank limited to 8, got {n}$"):
+                    push(V, space)
+
+
+@st.composite
+def symmetric_classes(draw):
+    """(space, V): a rational combination of monomial symmetric classes
+    on a space of rank at most 4."""
+    n = draw(st.integers(1, 4))
+    space = Space(draw(st.sampled_from(list(SpaceKind))), n)
+    V = SparsePoly.zero(n)
+    for _ in range(draw(st.integers(0, 3))):
+        parts = sorted(draw(st.lists(st.integers(0, 4), max_size=n)), reverse=True)
+        c = draw(st.fractions(min_value=-20, max_value=20, max_denominator=12)
+                 .filter(lambda c: c.denominator > 1))
+        V = V + c * monomial_symmetric(Partition(parts), n)
+    return space, V
+
+
+@example((lg(2), SparsePoly.zero(2)))
+@example((og_even(3), SparsePoly.constant(3, Fraction(-5, 3))))
+@example((og_odd(4), SparsePoly.constant(4, Fraction(1, 2))))
+@given(symmetric_classes())
+def test_odd_numerator_matches_the_full_product(case):
+    # only the all-odd part of V * prod_{i<j}(z_j - z_i) is built; the full
+    # product, binomial by binomial, is the reference
+    space, V = case
+    W = V
+    for factor in vandermonde_factors(space.n, reverse=True):
+        W = W * factor
+    assert pushforward_symmetric(V, space) == pushforward_numerator(W, space)
 
 
 def test_linearity():
