@@ -6,6 +6,10 @@ equivariant Euler class of the tangent space there.  Everything here is
 exact rational arithmetic at explicitly chosen generic parameter points;
 no residue machinery is involved, which is what makes it usable as an
 oracle for the residue engine.
+
+The sum is one integer loop over the 2^n sign masks (the bits are the
+negated coordinates): V's signed value over the integer Euler numerator
+at each.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -44,9 +47,11 @@ class GenericPoint:
     """Rational parameter point at which no Euler factor can vanish.
 
     Entries must be nonzero with pairwise distinct absolute values.
+    ``values[i] == numerators[i] / scale``, where ``scale`` is the least
+    common denominator of the entries.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "scale", "numerators")
 
     def __init__(self, values):
         vals = tuple(Fraction(v) for v in values)
@@ -57,6 +62,8 @@ class GenericPoint:
                 f"coordinates with equal absolute value in {_show(vals)}"
             )
         self.values = vals
+        self.scale = lcm(*(v.denominator for v in vals))
+        self.numerators = tuple(v.numerator * (self.scale // v.denominator) for v in vals)
 
     def __len__(self):
         return len(self.values)
@@ -117,21 +124,22 @@ def euler_factor(space: Space, point: FixedPoint, at: GenericPoint) -> Fraction:
     """
     if len(point.signs) != space.n or len(at.values) != space.n:
         raise VariableCountMismatch("fixed point or parameter point has wrong length")
-    return _euler_cached(space, point.signs, at.values)
+    negatives = sum(1 << i for i, s in enumerate(point.signs) if s < 0)
+    return Fraction(_euler_numerator(space, negatives, at), at.scale ** space.dimension)
 
 
-@lru_cache(maxsize=1 << 14)
-def _euler_cached(space: Space, signs, values) -> Fraction:
-    # each of the space.dimension tangent weights is an integer over scale
-    scale = lcm(*(v.denominator for v in values))
-    signed = [s * v.numerator * (scale // v.denominator) for s, v in zip(signs, values)]
+def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
+    """The Euler class times ``at.scale ** space.dimension`` at the sign
+    vector whose negative entries are the set bits of ``negatives``."""
+    signed = [-x if negatives >> i & 1 else x for i, x in enumerate(at.numerators)]
     result = 1
     for i in range(space.n):
         for j in range(i + 1, space.n):
             factor = signed[i] + signed[j]
             if not factor:
+                signs = tuple(-1 if negatives >> k & 1 else 1 for k in range(space.n))
                 raise DegenerateEulerClass(
-                    f"tangent weight vanished at signs={signs}, t={_show(values)}"
+                    f"tangent weight vanished at signs={signs}, t={_show(at.values)}"
                 )
             result *= factor
     if space.kind is SpaceKind.LAGRANGIAN:
@@ -140,38 +148,28 @@ def _euler_cached(space: Space, signs, values) -> Fraction:
     elif space.kind is SpaceKind.ORTHOGONAL_ODD:
         for x in signed:
             result *= x
-    return Fraction(result, scale ** space.dimension)
+    return result
 
 
 def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     """Exact fixed-point sum of V(eps * t) / Euler factor.
 
     The sum runs over all 2^n sign vectors; on og-even it covers both
-    components and is halved.
+    components and is halved.  The restrictions at the fixed points differ
+    only by signs of the monomial values, and a monomial's sign depends
+    only on which of its exponents are odd.  So each monomial is scaled
+    once to an integer over a common denominator, the values are totalled
+    per parity mask, and each fixed point adds up at most 2^n signed mask
+    totals over its integer Euler numerator.
     """
     if V.nvars != space.n:
-        raise VariableCountMismatch(
-            f"class has {V.nvars} variables, space rank is {space.n}"
-        )
+        raise VariableCountMismatch(f"class has {V.nvars} variables, space rank is {space.n}")
+    if len(at) != space.n:
+        raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
     items = list(V.terms().items())
     if not items:
         return _ZERO
-    total = _polynomial_sum(items, space, fixed_points(space), at)
-    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
-
-
-def _polynomial_sum(items, space: Space, points, at: GenericPoint) -> Fraction:
-    """The fixed-point sum of a polynomial, in integer arithmetic.
-
-    The restrictions at all fixed points differ only by signs of the
-    monomial values, and a monomial's sign depends only on which of its
-    exponents are odd.  So each monomial is scaled once to an integer over
-    a common denominator, the values are totalled per parity mask, and
-    each fixed point adds up at most 2^n signed mask totals.
-    """
-    values = at.values
-    scale = lcm(*(v.denominator for v in values))
-    numerators = [v.numerator * (scale // v.denominator) for v in values]
+    scale, numerators = at.scale, at.numerators
     coeff_scale = lcm(*(c.denominator for _, c in items))
     max_degree = max(sum(e) for e, _ in items)
     power_table = [dict() for _ in range(space.n)]
@@ -195,22 +193,18 @@ def _polynomial_sum(items, space: Space, points, at: GenericPoint) -> Fraction:
                 mask |= 1 << i
         by_mask[mask] = by_mask.get(mask, 0) + value
     masks = list(by_mask.items())
-    shared_denominator = coeff_scale * scale ** max_degree
 
     total = _ZERO
-    for fp in points:
-        negatives = 0
-        for i, s in enumerate(fp.signs):
-            if s < 0:
-                negatives |= 1 << i
+    for negatives in range(1 << space.n):
         acc = 0
         for mask, value in masks:
             if (mask & negatives).bit_count() & 1:
                 acc -= value
             else:
                 acc += value
-        total += acc / euler_factor(space, fp, at)
-    return total / shared_denominator
+        total += Fraction(acc, _euler_numerator(space, negatives, at))
+    total *= Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
+    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
 
 
 def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:

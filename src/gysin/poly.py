@@ -301,13 +301,14 @@ class SparsePoly:
 
         Checked on adjacent transpositions, which generate them all.
         """
+        terms, _ = self.integer_terms()
         for i in range(self.nvars - 1):
-            for exps, coeff in self._terms.items():
+            for exps, coeff in terms.items():
                 if exps[i] == exps[i + 1]:
                     continue
                 swapped = list(exps)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self._terms.get(tuple(swapped)) != coeff:
+                if terms.get(tuple(swapped)) != coeff:
                     return False
         return True
 

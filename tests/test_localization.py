@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from gysin.partitions import Partition, partitions_up_to_weight
 from gysin.poly import SparsePoly
 from gysin.pushforward import pushforward_symmetric
 from gysin.schur import monomial_symmetric, schur_bialternant
-from gysin.spaces import lg, og_even, og_odd
+from gysin.spaces import SpaceKind, lg, og_even, og_odd
 
 
 # -- points ---------------------------------------------------------------
@@ -84,6 +85,25 @@ def test_euler_factor_og_even():
     assert value == -3
 
 
+@given(st.sampled_from([lg, og_even, og_odd]), st.integers(1, 5), st.integers(0, 1000))
+def test_euler_factor_equals_product_formula(space_factory, n, seed):
+    # the docstring's products of tangent weights, in Fractions, at every
+    # sign vector and a point with a negative rational coordinate
+    space = space_factory(n)
+    values = seeded_points(n, 1, seed)[0].values
+    point = GenericPoint((-abs(values[0]),) + values[1:])
+    for num, v in zip(point.numerators, point.values):
+        assert Fraction(num, point.scale) == v
+    first = 0 if space.kind is SpaceKind.LAGRANGIAN else 1
+    for fp in fixed_points(space):
+        x = [s * v for s, v in zip(fp.signs, point.values)]
+        expected = prod((x[i] + x[j] for i in range(n) for j in range(i + first, n)),
+                        start=Fraction(1))
+        if space.kind is SpaceKind.ORTHOGONAL_ODD:
+            expected *= prod(x)
+        assert euler_factor(space, fp, point) == expected
+
+
 def test_reciprocal_euler_factors_sum_to_zero():
     # the fixed-point sum of the constant class 1 on a positive-dimensional
     # space vanishes
@@ -117,6 +137,16 @@ def test_localization_sum_constant_vanishes():
 def test_localization_sum_wrong_nvars():
     with pytest.raises(VariableCountMismatch):
         localization_sum(SparsePoly.constant(3, 1), lg(2), GenericPoint([1, 2]))
+
+
+@pytest.mark.parametrize("values", [[1], [1, 2, 3]], ids=["short", "long"])
+def test_localization_sum_wrong_point_length(values):
+    V = schur_bialternant(Partition([2, 1]), 2)
+    point = GenericPoint(values)
+    with pytest.raises(VariableCountMismatch):
+        localization_sum(V, lg(2), point)
+    with pytest.raises(VariableCountMismatch):
+        cross_check(V, lg(2), pushforward_symmetric(V, lg(2)), [point])
 
 
 def test_scaling_covariance():
