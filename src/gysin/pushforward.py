@@ -9,11 +9,10 @@ contributes a * t^(k-1) when every component of k is odd and nothing
 otherwise, and the collected contributions are divided exactly by
 prod_{i<j}(t_j^2 - t_i^2).
 
-For a symmetric class V only the all-odd part of W is built: each of the
-n! signed monomials of the Vandermonde product is multiplied by the terms
-of V of the one parity mask that makes the result all-odd, in integer
-arithmetic, and the full product W never exists.  ``pushforward_numerator``
-takes a given W and filters its odd terms instead.
+For a symmetric class V, W is antisymmetric, so its all-odd part is a sum
+of alternants over strictly decreasing exponent vectors, straightened from
+V's terms one by one; the full product W never exists.
+``pushforward_numerator`` takes a given W and filters its odd terms instead.
 
 For Schur classes there is also a closed form: the result vanishes unless
 lam = 2*mu + staircase, and then equals a space constant times
@@ -33,6 +32,7 @@ from .schur import (
     alternant,
     check_rank,
     check_size,
+    permutation_sign,
     schur_bialternant,
     schur_squared_args,
     vandermonde_factors,
@@ -98,45 +98,32 @@ def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
     return _divide(SparsePoly(n, shifted))
 
 
-def _odd_numerator(V: SparsePoly, space: Space) -> SparsePoly:
+def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
     """The all-odd terms a * z^k of V * prod_{i<j}(z_j - z_i) * prefactor,
-    already shifted to a * t^(k-1).
+    already shifted to a * t^(k-1), as a sum of alternants.
 
-    The Vandermonde is the signed sum of the n! monomials z^d (d a
-    permutation of 0..n-1) and the prefactor is c * z^p, so a term
-    z^e * z^d * z^p is all-odd exactly when e has the parity of d + p - 1.
-    Each d therefore meets only V's terms of that one parity mask.
-    Coefficients are integers over V's common denominator, and exponent
-    vectors are packed into one integer, ``width`` bits per variable, so
-    that adding exponent vectors is one integer addition.  Every sum
-    e + d + p - 1 that is kept lies in [0, max(e) + n), so it fits.
+    With the prefactor c * z^p and delta = (n-1, ..., 0), a term b * z^e of
+    the symmetric V contributes (-1)^(n(n-1)/2) * c * b * sign(sort) *
+    alternant(gamma) when f = e + delta + p - 1 has even, distinct entries,
+    gamma being f sorted decreasingly, and nothing otherwise.
     """
     n = space.n
     p, constant = space.numerator_prefactor().leading_term()
+    shift = [n - 2 - i + k for i, k in enumerate(p)]
     terms, den = V.integer_terms()
-    width = (max((max(e) for e in terms), default=0) + n).bit_length()
-
-    def pack(exps):
-        return sum(k << (width * i) for i, k in enumerate(exps))
-
-    groups: dict = {}
-    for e, c in terms.items():
-        groups.setdefault(tuple(k & 1 for k in e), []).append((pack(e), c))
-    acc: dict = {}
-    get = acc.get
-    for d, sign in alternant(tuple(range(n)), n).terms().items():
-        shift = tuple(a + b - 1 for a, b in zip(d, p))
-        group = groups.get(tuple(k & 1 for k in shift))
-        if group is None:
+    coeffs: dict = {}
+    for e, b in terms.items():
+        f = [a + s for a, s in zip(e, shift)]
+        if any(k & 1 for k in f) or len(set(f)) < n:
             continue
-        offset, s = pack(shift), int(sign)
-        for e, c in group:
-            key = e + offset
-            acc[key] = get(key, 0) + s * c
-    scale, low = constant / den, (1 << width) - 1
+        order = sorted(range(n), key=f.__getitem__, reverse=True)
+        gamma = tuple(f[i] for i in order)
+        coeffs[gamma] = coeffs.get(gamma, 0) + permutation_sign(order) * b
+    scale = (-1) ** (n * (n - 1) // 2) * constant / den
     return SparsePoly(n, {
-        tuple((key >> (width * i)) & low for i in range(n)): c * scale
-        for key, c in acc.items()
+        k: sign * b * scale
+        for gamma, b in coeffs.items() if b
+        for k, sign in alternant(gamma, n).terms().items()
     })
 
 
@@ -153,13 +140,13 @@ def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
 def pushforward_symmetric(V: SparsePoly, space: Space) -> SparsePoly:
     """Push-forward of the class whose fixed-point restriction is V.
 
-    Only the all-odd part of the numerator is built (``_odd_numerator``);
+    The numerator is straightened onto alternants, which needs V symmetric;
     ``pushforward_numerator`` of the full product gives the same value.
     """
     _check_numerator(V, space)
     if not V.is_symmetric():
         raise NotSymmetric("push-forward input must be a symmetric polynomial")
-    return _divide(_odd_numerator(V, space))
+    return _divide(_straightened_numerator(V, space))
 
 
 def closed_form(lam: Partition, space: Space) -> PushforwardResult:

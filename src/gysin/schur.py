@@ -22,6 +22,9 @@ from .poly import SparsePoly, exact_quotient
 # The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
 # refuse larger ranks.
 MAX_RANK = 8
+# enumerate_ssyt recurses once per box and schur_from_elementary once per
+# column; refuse deeper shapes, well inside Python's recursion limit.
+MAX_DEPTH = 500
 
 _ONE = Fraction(1)
 
@@ -37,6 +40,12 @@ def check_rank(nvars: int):
     """The rank guard of every n!-sized computation."""
     if nvars > MAX_RANK:
         raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {nvars}")
+
+
+def check_depth(depth: int, what: str):
+    """The recursion guard of the tableau and Jacobi-Trudi constructions."""
+    if depth > MAX_DEPTH:
+        raise ExplicitSizeLimit(f"{what} limited to {MAX_DEPTH}, got {depth}")
 
 
 def check_size(lam: Partition, nvars: int):
@@ -84,7 +93,8 @@ def vandermonde_factors(nvars: int, *, reverse=False, squared=False) -> list:
     return out
 
 
-def _perm_sign(perm) -> int:
+def permutation_sign(perm) -> int:
+    """(-1)^(number of inversions) of a sequence of distinct values."""
     sign = 1
     for i in range(len(perm)):
         for j in range(i + 1, len(perm)):
@@ -103,7 +113,7 @@ def alternant(exponents, nvars: int) -> SparsePoly:
         for r, var in enumerate(perm):
             e[var] = exponents[r]
         key = tuple(e)
-        c = terms.get(key, 0) + _perm_sign(perm)
+        c = terms.get(key, 0) + permutation_sign(perm)
         if c:
             terms[key] = c
         else:
@@ -125,6 +135,7 @@ def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:
     Enumeration-backed oracle; only sensible for small shapes.
     """
     _validate(lam, nvars)
+    check_depth(lam.weight, "tableau boxes")
     terms: dict = {}
     for tableau in enumerate_ssyt(lam, nvars):
         e = tableau.content(nvars)
@@ -140,6 +151,7 @@ def schur_from_elementary(lam: Partition, e_of: Callable[[int], SparsePoly], nva
     recursive minors memoized on the remaining column set.
     """
     size = lam.part(0)
+    check_depth(size, "Jacobi-Trudi columns")
     if size == 0:
         return SparsePoly.constant(nvars, 1)
     conj = lam.conjugate().padded(size)

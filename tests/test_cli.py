@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -55,6 +56,19 @@ def test_schur_invalid_partition_exits_2(capsys):
 def test_schur_too_many_parts_exits_2(capsys):
     code, _, _ = run_cli(capsys, "schur", "--lambda", "1,1,1", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("via, message", [
+    ("tableaux", "tableau boxes limited to 500, got 2000"),
+    ("jacobi-trudi", "Jacobi-Trudi columns limited to 500, got 2000"),
+])
+def test_schur_recursion_guard_exits_2(capsys, via, message):
+    # both constructions recurse once per box or column: the longest
+    # accepted row works, a longer one is refused before any work
+    assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "500") == (
+        0, "z1^500\n", "")
+    assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "2000") == (
+        2, "", f"error: {message}\n")
 
 
 # -- pushforward -------------------------------------------------------------
@@ -310,6 +324,24 @@ def test_table_json(capsys):
 
 
 # -- determinism and process-level behavior ------------------------------------------
+
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --n-max 4 --weight-max 10",
+     "07046e391bb58e22ba6235cf39c508361f3fc0613104cf258d8989664e026b33"),
+    ("table --space lg --n 4 --weight-max 14",
+     "6540e7990fb8a7855f96b4c1a001ca8f0417fcff8b0e806fc15372cedf470de9"),
+    ("table --space og-even --n 4 --weight-max 14",
+     "b14a514f69b0e62fbc6dca44cbfba023359ff3bbf76afee23a9ca10bffaa82cc"),
+    ("table --space og-odd --n 4 --weight-max 14",
+     "6d1548cf8f0b5254eae2b3ac2ec3bf6f35603bd5e20bb398ebb51d36f2cd7c40"),
+])
+def test_sweep_json_is_pinned(capsys, argv, digest):
+    # sha256 of the whole JSON stdout, pinned when the residue engine was
+    # rewritten; any change to a value, key or layout shows here
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_identical_requests_are_byte_identical(capsys):
     args = ["verify", "--n-max", "2", "--weight-max", "4", "--seed", "7",

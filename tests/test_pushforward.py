@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gysin import pushforward
 from gysin.errors import (
     ExplicitSizeLimit,
     InexactDivision,
@@ -22,8 +23,9 @@ from gysin.pushforward import (
     pushforward_symmetric,
 )
 from gysin.schur import (
-    _perm_sign,
+    alternant,
     monomial_symmetric,
+    permutation_sign,
     schur_bialternant,
     schur_squared_args,
     vandermonde_factors,
@@ -41,7 +43,7 @@ def antisymmetrize(exponents, nvars, coeff=1):
         e = [0] * nvars
         for r, var in enumerate(perm):
             e[var] = exponents[r]
-        terms[tuple(e)] = _perm_sign(perm) * coeff
+        terms[tuple(e)] = permutation_sign(perm) * coeff
     return SparsePoly(nvars, terms)
 
 
@@ -127,7 +129,7 @@ def symmetric_classes(draw):
     space = Space(draw(st.sampled_from(list(SpaceKind))), n)
     V = SparsePoly.zero(n)
     for _ in range(draw(st.integers(0, 3))):
-        parts = sorted(draw(st.lists(st.integers(0, 4), max_size=n)), reverse=True)
+        parts = sorted(draw(st.lists(st.integers(0, 8), max_size=n)), reverse=True)
         c = draw(st.fractions(min_value=-20, max_value=20, max_denominator=12)
                  .filter(lambda c: c.denominator > 1))
         V = V + c * monomial_symmetric(Partition(parts), n)
@@ -137,15 +139,36 @@ def symmetric_classes(draw):
 @example((lg(2), SparsePoly.zero(2)))
 @example((og_even(3), SparsePoly.constant(3, Fraction(-5, 3))))
 @example((og_odd(4), SparsePoly.constant(4, Fraction(1, 2))))
+@example((lg(1), monomial_symmetric(Partition([2001]), 1)))
+@example((lg(2), monomial_symmetric(Partition([2002, 2001]), 2)))
 @given(symmetric_classes())
-def test_odd_numerator_matches_the_full_product(case):
-    # only the all-odd part of V * prod_{i<j}(z_j - z_i) is built; the full
-    # product, binomial by binomial, is the reference
+def test_straightened_numerator_matches_the_full_product(case):
+    # the odd part of V * prod_{i<j}(z_j - z_i) is straightened onto
+    # alternants; the full product, binomial by binomial, is the reference
     space, V = case
     W = V
     for factor in vandermonde_factors(space.n, reverse=True):
         W = W * factor
     assert pushforward_symmetric(V, space) == pushforward_numerator(W, space)
+
+
+def test_straightening_expands_only_strictly_decreasing_alternants(monkeypatch):
+    # a term whose shifted exponents repeat contributes nothing; it must be
+    # dropped, not expanded into an alternant that cancels to zero
+    expanded = []
+
+    def recording(exponents, nvars):
+        expanded.append(tuple(exponents))
+        return alternant(exponents, nvars)
+
+    monkeypatch.setattr(pushforward, "alternant", recording)
+    for n in (1, 2, 3, 4):
+        V = sum((monomial_symmetric(lam, n) for lam in partitions_up_to_weight(n, 5)),
+                SparsePoly.zero(n))
+        for space in (lg(n), og_even(n), og_odd(n)):
+            pushforward_symmetric(V, space)
+    assert expanded
+    assert all(all(a > b for a, b in zip(g, g[1:])) for g in expanded)
 
 
 def test_linearity():
