@@ -5,8 +5,9 @@ point of Schur-polynomial (and general symmetric-polynomial) classes:
 
 * residue engine: parity-filtered coefficient extraction plus exact
   polynomial division (:mod:`gysin.pushforward`)
-* closed form: lam = 2*mu + staircase decomposition and s_mu at squared
-  variables (:func:`gysin.pushforward.closed_form`)
+* closed form: lam = 2*mu + staircase decomposition and s_mu, a sum over
+  semistandard tableaux, at squared variables
+  (:func:`gysin.pushforward.closed_form`)
 * fixed-point oracle: exact Atiyah-Bott style summation at generic
   rational parameter points (:mod:`gysin.localization`)
 

@@ -7,9 +7,13 @@ exact rational arithmetic at explicitly chosen generic parameter points;
 no residue machinery is involved, which is what makes it usable as an
 oracle for the residue engine.
 
-The sum is one integer loop over the 2^n sign masks (the bits are the
-negated coordinates): V's signed value over the integer Euler numerator
-at each.  Nothing is cached between calls.
+The sum runs over the 2^n sign masks (the bits are the negated
+coordinates): V's signed values at all of them come from one
+Walsh-Hadamard transform of its totals per parity mask, and they are
+added over the least common multiple of the integer Euler numerators.
+``cross_check`` computes the point-independent part of V's terms
+(integer coefficients, degree deficits, parity masks, exponents) once for
+all its points; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -20,11 +24,16 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import DegenerateEulerClass, VariableCountMismatch
+from .errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from .poly import SparsePoly
 from .spaces import Space, SpaceKind
 
 _ZERO = Fraction(0)
+
+# The sum raises the point's integer numerators to powers up to the degree
+# of the class; a power of more bits than this is refused.  At this size
+# one rank-1 comparison at three points takes about a second.
+MAX_POWER_BITS = 1 << 20
 
 
 def _show(values) -> str:
@@ -151,6 +160,77 @@ def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
     return result
 
 
+def _point_free_terms(V: SparsePoly) -> tuple:
+    """What no parameter point changes in V's terms, term by term:
+    (common denominator of the coefficients, largest degree, integer
+    coefficients over it, degree deficits to the largest degree, one
+    exponent column per variable, parity masks whose set bits are the
+    variables with odd exponents)."""
+    terms, coeff_scale = V.integer_terms()
+    degrees = list(map(sum, terms))
+    max_degree = max(degrees, default=0)
+    columns = list(zip(*terms))
+    masks = [0] * len(degrees)
+    for i, column in enumerate(columns):
+        bit = 1 << i
+        masks = [m | bit if k & 1 else m for m, k in zip(masks, column)]
+    return (coeff_scale, max_degree, list(terms.values()),
+            [max_degree - d for d in degrees], columns, masks)
+
+
+def _check_power_bits(degree: int, at: GenericPoint):
+    """The exponent guard of the fixed-point sum, before any power is taken.
+
+    A monomial of the given degree at this point is a product of powers of
+    the point's integer numerators and common denominator; their bit
+    lengths times the degree bound the bits of any such power.
+    """
+    bits = degree * max(x.bit_length() for x in (at.scale, *at.numerators))
+    if bits > MAX_POWER_BITS:
+        raise ExplicitSizeLimit(f"fixed-point powers limited to {MAX_POWER_BITS} bits, got {bits}")
+
+
+def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
+    if len(at) != space.n:
+        raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
+    coeff_scale, max_degree, coeffs, deficits, columns, masks = terms
+    if not coeffs:
+        return _ZERO
+    _check_power_bits(max_degree, at)
+    scale = at.scale
+    scale_powers = {d: scale ** d for d in set(deficits)}
+    values = [c * scale_powers[d] for c, d in zip(coeffs, deficits)]
+    for x, column in zip(at.numerators, columns):
+        powers = {k: x ** k for k in set(column)}
+        values = [v * powers[k] for v, k in zip(values, column)]
+    # signed[m] totals the terms whose parity mask is m; the Walsh-Hadamard
+    # transform turns it into V's scaled value at each sign mask, where a
+    # term changes sign when its mask and the negated coordinates share an
+    # odd number of bits
+    size = 1 << space.n
+    signed = [0] * size
+    for mask, value in zip(masks, values):
+        signed[mask] += value
+    step = 1
+    while step < size:
+        for start in range(0, size, 2 * step):
+            for i in range(start, start + step):
+                a, b = signed[i], signed[i + step]
+                signed[i], signed[i + step] = a + b, a - b
+        step *= 2
+
+    euler = [_euler_numerator(space, negatives, at) for negatives in range(size)]
+    common = lcm(*euler)
+    total = Fraction(sum(value * (common // e) for value, e in zip(signed, euler)), common)
+    total *= Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
+    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
+
+
+def _check_class(V: SparsePoly, space: Space):
+    if V.nvars != space.n:
+        raise VariableCountMismatch(f"class has {V.nvars} variables, space rank is {space.n}")
+
+
 def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     """Exact fixed-point sum of V(eps * t) / Euler factor.
 
@@ -159,58 +239,22 @@ def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
     only by signs of the monomial values, and a monomial's sign depends
     only on which of its exponents are odd.  So each monomial is scaled
     once to an integer over a common denominator, the values are totalled
-    per parity mask, and each fixed point adds up at most 2^n signed mask
-    totals over its integer Euler numerator.
+    per parity mask, one Walsh-Hadamard transform gives the signed total
+    at every fixed point, and these are added over the least common
+    multiple of the integer Euler numerators.  Powers whose bits would
+    exceed MAX_POWER_BITS raise ExplicitSizeLimit before any is taken.
     """
-    if V.nvars != space.n:
-        raise VariableCountMismatch(f"class has {V.nvars} variables, space rank is {space.n}")
-    if len(at) != space.n:
-        raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
-    items = list(V.terms().items())
-    if not items:
-        return _ZERO
-    scale, numerators = at.scale, at.numerators
-    coeff_scale = lcm(*(c.denominator for _, c in items))
-    max_degree = max(sum(e) for e, _ in items)
-    power_table = [dict() for _ in range(space.n)]
-    scale_powers = {}
-    by_mask = {}
-    for exps, coeff in items:
-        value = coeff.numerator * (coeff_scale // coeff.denominator)
-        deficit = max_degree - sum(exps)
-        if deficit not in scale_powers:
-            scale_powers[deficit] = scale ** deficit
-        value *= scale_powers[deficit]
-        mask = 0
-        for i, k in enumerate(exps):
-            if k:
-                p = power_table[i].get(k)
-                if p is None:
-                    p = numerators[i] ** k
-                    power_table[i][k] = p
-                value *= p
-            if k & 1:
-                mask |= 1 << i
-        by_mask[mask] = by_mask.get(mask, 0) + value
-    masks = list(by_mask.items())
-
-    total = _ZERO
-    for negatives in range(1 << space.n):
-        acc = 0
-        for mask, value in masks:
-            if (mask & negatives).bit_count() & 1:
-                acc -= value
-            else:
-                acc += value
-        total += Fraction(acc, _euler_numerator(space, negatives, at))
-    total *= Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
-    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
+    _check_class(V, space)
+    return _sum_at(_point_free_terms(V), space, at)
 
 
 def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:
     """True if the fixed-point sum of V equals ``value`` at every point.
 
     ``value`` is a push-forward computed some other way, as a polynomial
-    in t; only the values are compared.
+    in t; only the values are compared.  The point-independent part of
+    V's terms is computed once, and only the powers are taken per point.
     """
-    return all(localization_sum(V, space, pt) == value.evaluate(pt.values) for pt in points)
+    _check_class(V, space)
+    terms = _point_free_terms(V)
+    return all(_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)

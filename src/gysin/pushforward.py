@@ -14,10 +14,16 @@ of alternants over strictly decreasing exponent vectors, straightened from
 V's terms one by one; the full product W never exists.
 ``pushforward_numerator`` takes a given W and filters its odd terms instead.
 
+A Schur class s_lam is never expanded: s_lam times the Vandermonde is the
+single alternant of lam + delta, so ``schur_residue`` starts from that one
+alternant (n! terms) and shares the alternant sum and the division with
+the general path.
+
 For Schur classes there is also a closed form: the result vanishes unless
 lam = 2*mu + staircase, and then equals a space constant times
-s_mu(t_1^2, ..., t_n^2).  Every Schur push-forward computed here verifies
-itself against that closed form.
+s_mu(t_1^2, ..., t_n^2), built from semistandard tableaux.  Every Schur
+push-forward computed here verifies itself against that closed form; the
+two share no Schur construction.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .schur import (
     check_rank,
     check_size,
     permutation_sign,
-    schur_bialternant,
     schur_squared_args,
     vandermonde_factors,
 )
@@ -98,6 +103,25 @@ def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
     return _divide(SparsePoly(n, shifted))
 
 
+def _numerator_shift(space: Space) -> tuple:
+    """(shift, c): shift = delta + p - 1 with delta = (n-1, ..., 0), and
+    c * z^p the space prefactor."""
+    n = space.n
+    p, constant = space.numerator_prefactor().leading_term()
+    return [n - 2 - i + k for i, k in enumerate(p)], constant
+
+
+def _alternant_sum(coeffs: dict, scale: Fraction, n: int) -> SparsePoly:
+    """(-1)^(n(n-1)/2) * scale * sum of c_gamma * alternant(gamma) over the
+    strictly decreasing gamma; the reversed Vandermonde brings the sign."""
+    scale = (-1) ** (n * (n - 1) // 2) * scale
+    return SparsePoly(n, {
+        k: sign * b * scale
+        for gamma, b in coeffs.items() if b
+        for k, sign in alternant(gamma, n).terms().items()
+    })
+
+
 def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
     """The all-odd terms a * z^k of V * prod_{i<j}(z_j - z_i) * prefactor,
     already shifted to a * t^(k-1), as a sum of alternants.
@@ -108,8 +132,7 @@ def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
     gamma being f sorted decreasingly, and nothing otherwise.
     """
     n = space.n
-    p, constant = space.numerator_prefactor().leading_term()
-    shift = [n - 2 - i + k for i, k in enumerate(p)]
+    shift, constant = _numerator_shift(space)
     terms, den = V.integer_terms()
     coeffs: dict = {}
     for e, b in terms.items():
@@ -119,12 +142,25 @@ def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
         order = sorted(range(n), key=f.__getitem__, reverse=True)
         gamma = tuple(f[i] for i in order)
         coeffs[gamma] = coeffs.get(gamma, 0) + permutation_sign(order) * b
-    scale = (-1) ** (n * (n - 1) // 2) * constant / den
-    return SparsePoly(n, {
-        k: sign * b * scale
-        for gamma, b in coeffs.items() if b
-        for k, sign in alternant(gamma, n).terms().items()
-    })
+    return _alternant_sum(coeffs, constant / den, n)
+
+
+def schur_residue(lam: Partition, space: Space) -> SparsePoly:
+    """Residue-path push-forward of s_lam, without expanding s_lam.
+
+    s_lam * prod_{i<j}(z_i - z_j) is the alternant of lam + delta, and the
+    prefactor's z^p adds p to every exponent, so the numerator is the one
+    alternant of gamma = lam + delta + p - 1: zero when an entry of gamma
+    is odd, else (-1)^(n(n-1)/2) * c * alternant(gamma), divided as for
+    any class.
+    """
+    n = space.n
+    check_size(lam, n)
+    shift, constant = _numerator_shift(space)
+    gamma = tuple(lam.part(i) + s for i, s in enumerate(shift))
+    if any(k & 1 for k in gamma):
+        return SparsePoly.zero(n)
+    return _divide(_alternant_sum({gamma: 1}, constant, n))
 
 
 def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
@@ -168,7 +204,7 @@ def pushforward_schur(lam: Partition, space: Space) -> PushforwardResult:
     only come from an internal defect and raises InternalInconsistency.
     """
     expected = closed_form(lam, space)  # also applies the size guards
-    value = pushforward_symmetric(schur_bialternant(lam, space.n), space)
+    value = schur_residue(lam, space)
     if value != expected.value:
         raise InternalInconsistency(
             f"residue and closed form disagree for lambda={lam} on {space.label()}"

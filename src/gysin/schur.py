@@ -1,30 +1,39 @@
 """Schur polynomials by three independent constructions.
 
 * bialternant ratio: det(z_c^(lam_r + d - r)) / prod_{i<j}(z_i - z_j)
-* generating sum over semistandard Young tableaux
+* generating sum over semistandard Young tableaux, built by the branching
+  rule: the entries equal to k form a horizontal strip, so one variable
+  is added at a time and no tableau is listed one by one
 * dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) in the elementary
   symmetric polynomials
 
 All three agree exactly and produce the standard Schur polynomial with
-non-negative integer coefficients.
+non-negative integer coefficients.  The push-forward engine expands no
+Schur class on its residue path (it starts from the alternant of
+lam + delta); the closed form's s_mu(t^2) comes from the tableau sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import prod
 from typing import Callable
 
 from .errors import ExplicitSizeLimit, InvalidPartition
-from .partitions import Partition, enumerate_ssyt
+from .partitions import Partition
 from .poly import SparsePoly, exact_quotient
 
 # The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
 # refuse larger ranks.
 MAX_RANK = 8
-# enumerate_ssyt recurses once per box and schur_from_elementary once per
-# column; refuse deeper shapes, well inside Python's recursion limit.
+# schur_from_elementary recurses once per column; refuse wider shapes, well
+# inside Python's recursion limit.
 MAX_DEPTH = 500
+# schur_tableaux does at most one step per semistandard tableau and level
+# (far fewer where shapes repeat); refuse shapes with more tableaux than
+# this, a few seconds of work with three variables.
+MAX_TABLEAUX = 1 << 22
 
 _ONE = Fraction(1)
 
@@ -43,9 +52,20 @@ def check_rank(nvars: int):
 
 
 def check_depth(depth: int, what: str):
-    """The recursion guard of the tableau and Jacobi-Trudi constructions."""
+    """The recursion guard of the Jacobi-Trudi construction."""
     if depth > MAX_DEPTH:
         raise ExplicitSizeLimit(f"{what} limited to {MAX_DEPTH}, got {depth}")
+
+
+def tableau_count(lam: Partition, nvars: int) -> int:
+    """s_lam(1, ..., 1): the number of semistandard tableaux of shape lam
+    with entries in 1..nvars, by Weyl's dimension formula
+    prod_{i<j} (lam_i - lam_j + j - i) / (j - i); pairs of equal parts
+    contribute 1 and are skipped."""
+    parts = lam.padded(nvars)
+    pairs = [(parts[i] - parts[j], j - i) for i in range(min(len(lam), nvars))
+             for j in range(i + 1, nvars) if parts[i] != parts[j]]
+    return prod(d + gap for d, gap in pairs) // prod(gap for _, gap in pairs)
 
 
 def check_size(lam: Partition, nvars: int):
@@ -129,18 +149,55 @@ def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     return exact_quotient(alternant(shifted, nvars), vandermonde_factors(nvars))
 
 
+def _interlacing(mu: tuple, k: int):
+    """The partitions nu with at most k - 1 parts such that mu/nu is a
+    horizontal strip: mu_1 >= nu_1 >= mu_2 >= nu_2 >= ... >= 0."""
+    for nu in product(*(range(lo, hi + 1) for lo, hi in zip(mu[1:] + (0,), mu[:k - 1]))):
+        while nu and not nu[-1]:
+            nu = nu[:-1]
+        yield nu
+
+
 def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:
     """Sum of content monomials over all semistandard tableaux of shape lam.
 
-    Enumeration-backed oracle; only sensible for small shapes.
+    Built by the branching rule, one variable at a time: the boxes holding
+    the largest entry k form a horizontal strip, so
+
+        s_mu(z_1..z_k) = sum over nu of s_nu(z_1..z_(k-1)) * z_k^(|mu| - |nu|)
+
+    over the nu interlacing mu.  Each shape is built once per number of
+    variables, the tableaux are never listed one by one, and the loop
+    runs nvars levels deep whatever the number of boxes.  While building,
+    an exponent vector is one integer with ``width`` bits per variable
+    (a horizontal strip has at most one box per column, so no exponent
+    exceeds lam_1), and adding z_k's exponent is one addition, not a copy
+    of the vector.
     """
     _validate(lam, nvars)
-    check_depth(lam.weight, "tableau boxes")
-    terms: dict = {}
-    for tableau in enumerate_ssyt(lam, nvars):
-        e = tableau.content(nvars)
-        terms[e] = terms.get(e, 0) + 1
-    return SparsePoly(nvars, terms)
+    count = tableau_count(lam, nvars)
+    if count > MAX_TABLEAUX:
+        raise ExplicitSizeLimit(f"semistandard tableaux limited to {MAX_TABLEAUX}, got {count}")
+    levels = [{lam.parts}]
+    for k in range(nvars, 0, -1):
+        levels.append({nu for mu in levels[-1] for nu in _interlacing(mu, k)})
+    width = max(lam.part(0).bit_length(), 1)
+    built = {(): {0: 1}}
+    for k, shapes in enumerate(reversed(levels[:-1]), 1):
+        shift = width * (k - 1)
+        below, built = built, {}
+        for mu in shapes:
+            weight, terms = sum(mu), {}
+            for nu in _interlacing(mu, k):
+                last = weight - sum(nu) << shift
+                for key, c in below[nu].items():
+                    terms[key + last] = terms.get(key + last, 0) + c
+            built[mu] = terms
+    mask = (1 << width) - 1
+    shifts = range(0, width * nvars, width)
+    return SparsePoly(nvars, {
+        tuple(key >> s & mask for s in shifts): c for key, c in built[lam.parts].items()
+    })
 
 
 def schur_from_elementary(lam: Partition, e_of: Callable[[int], SparsePoly], nvars: int) -> SparsePoly:
@@ -192,7 +249,7 @@ def schur_dual_jacobi_trudi(lam: Partition, nvars: int) -> SparsePoly:
 
 
 def schur_squared_args(mu: Partition, nvars: int) -> SparsePoly:
-    """s_mu evaluated at squared variables: s_mu(t_1^2, ..., t_n^2)."""
-    _validate(mu, nvars)
-    return schur_bialternant(mu, nvars).square_variables()
+    """s_mu evaluated at squared variables: s_mu(t_1^2, ..., t_n^2), from
+    the tableau sum."""
+    return schur_tableaux(mu, nvars).square_variables()
 

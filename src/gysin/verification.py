@@ -16,12 +16,7 @@ from .errors import ExplicitSizeLimit
 from .localization import cross_check, default_point, seeded_points
 from .partitions import Partition, partitions_up_to_weight
 from .poly import SparsePoly
-from .pushforward import (
-    PushforwardResult,
-    closed_form,
-    pushforward_schur,
-    pushforward_symmetric,
-)
+from .pushforward import PushforwardResult, closed_form, pushforward_schur, schur_residue
 from .schur import MAX_RANK, schur_bialternant
 from .spaces import Space, SpaceKind
 
@@ -73,10 +68,8 @@ def measure_constant(value: SparsePoly, reference: SparsePoly) -> Fraction | Non
 
 
 def evaluate_case(space: Space, lam: Partition, points) -> CaseResult:
-    n = space.n
-    schur = schur_bialternant(lam, n)
-    residue = pushforward_symmetric(schur, space)
     expected = closed_form(lam, space)
+    residue = schur_residue(lam, space)
     closed_match = residue == expected.value
 
     measured = None
@@ -84,7 +77,8 @@ def evaluate_case(space: Space, lam: Partition, points) -> CaseResult:
         # s_mu(t^2), nonzero; the closed form already built it
         measured = measure_constant(residue, expected.value * (1 / expected.constant))
 
-    oracle_match = cross_check(schur, space, residue, points)
+    # the expanded s_lam serves the fixed-point sum only
+    oracle_match = cross_check(schur_bialternant(lam, space.n), space, residue, points)
     return CaseResult(
         space, lam, residue, expected, closed_match, len(points), oracle_match, measured
     )

@@ -17,10 +17,10 @@ settings.load_profile("exact")
 @pytest.fixture
 def corrupt_lg1_residue(monkeypatch):
     """Make the residue path of a sweep wrong by 1 on s_1 over lg(1) only."""
-    honest = verification.pushforward_symmetric
+    honest = verification.schur_residue
 
-    def faulty(V, space):
-        value = honest(V, space)
-        return value + 1 if space == lg(1) and V.homogeneous_degree() == 1 else value
+    def faulty(lam, space):
+        value = honest(lam, space)
+        return value + 1 if space == lg(1) and lam.weight == 1 else value
 
-    monkeypatch.setattr(verification, "pushforward_symmetric", faulty)
+    monkeypatch.setattr(verification, "schur_residue", faulty)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from gysin.cli import main
+from gysin.partitions import Partition
 from gysin.poly import SparsePoly
+from gysin.schur import schur_dual_jacobi_trudi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,13 +60,19 @@ def test_schur_too_many_parts_exits_2(capsys):
     assert code == 2
 
 
+def test_schur_tableaux_take_any_number_of_boxes(capsys):
+    # the tableau sum adds one variable at a time, so its depth is the
+    # number of variables and a 2000-box row is no deeper than one box
+    assert run_cli(capsys, "schur", "--via", "tableaux", "--n", "1", "--lambda", "2000") == (
+        0, "z1^2000\n", "")
+
+
 @pytest.mark.parametrize("via, message", [
-    ("tableaux", "tableau boxes limited to 500, got 2000"),
     ("jacobi-trudi", "Jacobi-Trudi columns limited to 500, got 2000"),
 ])
 def test_schur_recursion_guard_exits_2(capsys, via, message):
-    # both constructions recurse once per box or column: the longest
-    # accepted row works, a longer one is refused before any work
+    # the determinant recurses once per column: the longest accepted row
+    # works, a longer one is refused before any work
     assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "500") == (
         0, "z1^500\n", "")
     assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "2000") == (
@@ -187,6 +195,47 @@ def test_degenerate_point_message_shows_plain_rationals(capsys, method, t):
 def test_size_guard_message_is_the_same_for_every_method(capsys, method, argv, message):
     code, out, err = run_cli(capsys, "pushforward", "--space", "lg", *argv, "--method", method)
     assert (code, out, err) == (2, "", message)
+
+
+def test_pushforward_rank_7_gives_s21_at_squares(capsys):
+    # lambda = 2*(2,1) + rho(7): the residue starts from one alternant of
+    # 5040 terms, so rank 7 answers in about a second
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "7",
+                             "--lambda", "11,8,5,4,3,2,1")
+    value = schur_dual_jacobi_trudi(Partition([2, 1]), 7).square_variables()
+    assert (code, err) == (0, "")
+    assert out == (f"space: lg(7)\nlambda: 11,8,5,4,3,2,1\nmethod: residue\n"
+                   f"value: {value.render('t')}\nmu: 2,1\nconstant: 1\n")
+
+
+HUGE = ["pushforward", "--space", "lg", "--n", "1", "--lambda", "99999999999999999999"]
+
+
+@pytest.mark.parametrize("method", ["residue", "closed"])
+def test_pushforward_huge_exponent_residue_and_closed(capsys, method):
+    # neither method takes a power: the exponents are only added
+    assert run_cli(capsys, *HUGE, "--method", method) == (0, (
+        "space: lg(1)\nlambda: 99999999999999999999\n"
+        f"method: {method}\nvalue: t1^99999999999999999998\n"
+        "mu: 49999999999999999999\nconstant: 1\n"), "")
+
+
+@pytest.mark.parametrize("method", ["abbv", "all"])
+def test_pushforward_huge_exponent_oracle_exits_2(capsys, method):
+    # the fixed-point sum would raise the point to the 10^20th power; the
+    # guard refuses it before any power is taken
+    assert run_cli(capsys, *HUGE, "--method", method) == (
+        2, "", "error: fixed-point powers limited to 1048576 bits, got 99999999999999999999\n")
+
+
+@pytest.mark.parametrize("method", ["residue", "closed", "all"])
+def test_pushforward_huge_first_part_exits_2(capsys, method):
+    # mu = (5*10^19, 0): s_mu(t^2) has 5*10^19 + 1 terms; the closed form,
+    # which each of these methods builds first, counts its tableaux by
+    # Weyl's formula and refuses before any work
+    assert run_cli(capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda",
+                   "100000000000000000002,1", "--method", method) == (
+        2, "", "error: semistandard tableaux limited to 4194304, got 50000000000000000001\n")
 
 
 def test_pushforward_json_roundtrip(capsys):

@@ -4,8 +4,9 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from gysin.errors import DegenerateEulerClass, VariableCountMismatch
+from gysin.errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from gysin.localization import (
+    MAX_POWER_BITS,
     FixedPoint,
     GenericPoint,
     cross_check,
@@ -149,6 +150,20 @@ def test_localization_sum_wrong_point_length(values):
         cross_check(V, lg(2), pushforward_symmetric(V, lg(2)), [point])
 
 
+def test_power_guard_comes_before_any_power():
+    # at t = 1 every power is 1, but the guard counts degree times bits,
+    # so the refusal does not depend on which point is asked
+    assert localization_sum(SparsePoly.monomial(1, (MAX_POWER_BITS - 1,)), lg(1),
+                            GenericPoint([1])) == 1
+    for degree, at in ((MAX_POWER_BITS + 1, [1]), (MAX_POWER_BITS // 2 + 1, [Fraction(3, 2)]),
+                       (10 ** 20, [5])):
+        V = SparsePoly.monomial(1, (degree,))
+        with pytest.raises(ExplicitSizeLimit, match="^fixed-point powers limited to "):
+            localization_sum(V, lg(1), GenericPoint(at))
+        with pytest.raises(ExplicitSizeLimit):
+            cross_check(V, lg(1), SparsePoly.zero(1), [GenericPoint(at), default_point(1)])
+
+
 def test_scaling_covariance():
     # homogeneous V of degree d scales like c^(d - dim)
     V = schur_bialternant(Partition([4, 1]), 2)  # degree 5, dim LG(2) = 3
@@ -199,6 +214,32 @@ def test_localization_sum_equals_plain_evaluation(space_factory, case):
 
 
 # -- cross_check ------------------------------------------------------------------
+
+@given(
+    st.sampled_from([lg, og_even, og_odd]),
+    st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.lists(st.integers(0, 6), max_size=n),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+                 max_size=3),
+        st.integers(0, 1000),
+    )),
+)
+def test_cross_check_shares_terms_across_points(space_factory, case):
+    # the point-free part of V is computed once for all points; the
+    # one-point sums at each point are the reference
+    n, summands, seed = case
+    space = space_factory(n)
+    V = SparsePoly.zero(n)
+    for parts, c in summands:
+        V = V + c * monomial_symmetric(Partition(sorted(parts, reverse=True)), n)
+    points = [default_point(n)] + seeded_points(n, 3, seed)
+    value = pushforward_symmetric(V, space)
+    assert [localization_sum(V, space, pt) for pt in points] == [
+        value.evaluate(pt.values) for pt in points]
+    assert cross_check(V, space, value, points)
+    assert not cross_check(V, space, value + 1, points)
+
 
 def lg2_points(trials, seed):
     return [default_point(2)] + seeded_points(2, trials, seed)

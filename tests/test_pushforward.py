@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gysin import pushforward
+from gysin import pushforward, schur
 from gysin.errors import (
     ExplicitSizeLimit,
     InexactDivision,
@@ -231,6 +231,40 @@ def test_schur_pushforward_guards():
         pushforward_schur(Partition([1, 1, 1]), lg(2))
     with pytest.raises(ExplicitSizeLimit):
         pushforward_schur(Partition([1]), lg(9))
+
+
+@st.composite
+def schur_cases(draw):
+    """(lam, space): a partition with at most n parts, on a space of rank
+    at most 4."""
+    n = draw(st.integers(1, 4))
+    space = Space(draw(st.sampled_from(list(SpaceKind))), n)
+    parts = sorted(draw(st.lists(st.integers(0, 9), max_size=n)), reverse=True)
+    return Partition(parts), space
+
+
+@example((Partition(), lg(1)))
+@example((Partition([2]), og_even(1)))
+@example((Partition([7, 4, 1]), lg(3)))
+@example((Partition([6, 3, 1]), og_even(4)))
+@given(schur_cases())
+def test_schur_residue_equals_the_expanded_class(case):
+    # the residue starts from the one alternant of lam + delta; the
+    # straightening of the expanded bialternant is the reference
+    lam, space = case
+    expected = pushforward_symmetric(schur_bialternant(lam, space.n), space)
+    assert pushforward_schur(lam, space).value == expected
+
+
+def test_schur_pushforward_and_closed_form_never_expand_s_lambda(monkeypatch):
+    def refuse(lam, nvars):
+        raise AssertionError(f"s_{lam} expanded as a bialternant")
+
+    monkeypatch.setattr(schur, "schur_bialternant", refuse)
+    monkeypatch.setattr(pushforward, "schur_bialternant", refuse, raising=False)
+    for space in (lg(3), og_even(3), og_odd(3)):
+        for lam in partitions_up_to_weight(3, 8):
+            assert pushforward_schur(lam, space).value == closed_form(lam, space).value
 
 
 # -- closed_form ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from gysin.errors import ExplicitSizeLimit, InvalidPartition
 from gysin.partitions import Partition, enumerate_ssyt, partitions_up_to_weight
@@ -11,6 +12,7 @@ from gysin.schur import (
     schur_from_elementary,
     schur_squared_args,
     schur_tableaux,
+    tableau_count,
     vandermonde_factors,
 )
 
@@ -80,6 +82,10 @@ def test_partition_must_fit():
 def test_size_guard():
     with pytest.raises(ExplicitSizeLimit):
         schur_bialternant(Partition([1]), 9)
+    # 234,881,024 tableaux, counted by Weyl's formula before any work
+    with pytest.raises(ExplicitSizeLimit, match="^semistandard tableaux limited to 4194304, "
+                                                "got 234881024$"):
+        schur_tableaux(Partition([11, 8, 5, 4, 3, 2, 1]), 7)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -88,6 +94,16 @@ def test_triple_equality_small(nvars):
         b = schur_bialternant(lam, nvars)
         assert b == schur_tableaux(lam, nvars)
         assert b == schur_dual_jacobi_trudi(lam, nvars)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 17), max_size=n))))
+def test_tableaux_match_bialternant_across_packing_widths(case):
+    # parts up to 17 take 1 to 5 bits per packed exponent, including the
+    # all-ones values 1, 3, 7 and 15 that fill their width
+    nvars, parts = case
+    lam = Partition(sorted(parts, reverse=True))
+    assert schur_tableaux(lam, nvars) == schur_bialternant(lam, nvars)
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -106,6 +122,7 @@ def test_ssyt_count_matches_schur_at_ones():
         for lam in partitions_up_to_weight(nvars, 5):
             count = len(enumerate_ssyt(lam, nvars))
             assert count == schur_bialternant(lam, nvars).evaluate([1] * nvars)
+            assert count == tableau_count(lam, nvars)
 
 
 def test_e_to_c_substitution_reproduces_squared_schur():
