@@ -9,7 +9,8 @@ point of Schur-polynomial (and general symmetric-polynomial) classes:
   semistandard tableaux, at squared variables
   (:func:`gysin.pushforward.closed_form`)
 * fixed-point oracle: exact Atiyah-Bott style summation at generic
-  rational parameter points (:mod:`gysin.localization`)
+  rational parameter points, a Schur class entering as a determinant over
+  the Vandermonde at each fixed point (:mod:`gysin.localization`)
 
 Everything runs in exact rational arithmetic; there are no tolerances.
 """
@@ -32,6 +33,8 @@ from .localization import (
     euler_factor,
     fixed_points,
     localization_sum,
+    schur_cross_check,
+    schur_localization_sum,
     seeded_points,
 )
 from .partitions import (
@@ -104,8 +107,10 @@ __all__ = [
     "rho",
     "run_verification",
     "schur_bialternant",
+    "schur_cross_check",
     "schur_dual_jacobi_trudi",
     "schur_from_elementary",
+    "schur_localization_sum",
     "schur_squared_args",
     "schur_tableaux",
     "seeded_points",

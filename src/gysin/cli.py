@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GysinError, InternalInconsistency
-from .localization import GenericPoint, default_point, localization_sum, seeded_points
+from .localization import GenericPoint, default_point, schur_localization_sum, seeded_points
 from .partitions import Partition
 from .pushforward import PushforwardResult, closed_form, pushforward_schur
 from .schur import schur_bialternant, schur_dual_jacobi_trudi, schur_tableaux
@@ -129,7 +129,7 @@ def _cmd_pushforward(args, out) -> int:
     lines = [f"space: {space.label()}", f"lambda: {lam.to_text()}", f"method: {args.method}"]
     ok = True
     if args.method == "abbv":
-        oracle = localization_sum(schur_bialternant(lam, space.n), space, point)
+        oracle = schur_localization_sum(lam, space, point)
         payload.update(t=[str(v) for v in point.values], oracle=str(oracle))
         lines += [f"t: {','.join(payload['t'])}", f"oracle: {oracle}"]
     elif args.method == "all":

@@ -14,6 +14,14 @@ added over the least common multiple of the integer Euler numerators.
 ``cross_check`` computes the point-independent part of V's terms
 (integer coefficients, degree deficits, parity masks, exponents) once for
 all its points; nothing is cached between calls.
+
+A Schur class s_lam is never expanded: ``schur_localization_sum`` and
+``schur_cross_check`` evaluate it at each sign mask as the bialternant
+ratio det(x_j^(a_i)) / prod_{i<j}(x_i - x_j), a = lam + delta, the n!
+permutation terms of the determinant going through the same transform,
+and divide each mask's value by its Vandermonde and Euler numerators.
+These permutations are built here, apart from the residue path's
+alternant.
 """
 
 from __future__ import annotations
@@ -21,11 +29,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import lcm
 
 from .errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
+from .partitions import Partition
 from .poly import SparsePoly
+from .schur import check_size
 from .spaces import Space, SpaceKind
 
 _ZERO = Fraction(0)
@@ -137,20 +147,22 @@ def euler_factor(space: Space, point: FixedPoint, at: GenericPoint) -> Fraction:
     return Fraction(_euler_numerator(space, negatives, at), at.scale ** space.dimension)
 
 
+def _signed_numerators(negatives: int, at: GenericPoint) -> list:
+    """The point's integer numerators, negated where ``negatives`` has a bit."""
+    return [-x if negatives >> i & 1 else x for i, x in enumerate(at.numerators)]
+
+
 def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
     """The Euler class times ``at.scale ** space.dimension`` at the sign
     vector whose negative entries are the set bits of ``negatives``."""
-    signed = [-x if negatives >> i & 1 else x for i, x in enumerate(at.numerators)]
+    signed = _signed_numerators(negatives, at)
     result = 1
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            factor = signed[i] + signed[j]
-            if not factor:
-                signs = tuple(-1 if negatives >> k & 1 else 1 for k in range(space.n))
-                raise DegenerateEulerClass(
-                    f"tangent weight vanished at signs={signs}, t={_show(at.values)}"
-                )
-            result *= factor
+    for i, x in enumerate(signed):
+        for y in signed[i + 1:]:
+            result *= x + y
+    if not result:
+        signs = tuple(-1 if negatives >> k & 1 else 1 for k in range(space.n))
+        raise DegenerateEulerClass(f"tangent weight vanished at signs={signs}, t={_show(at.values)}")
     if space.kind is SpaceKind.LAGRANGIAN:
         for x in signed:
             result *= 2 * x
@@ -190,24 +202,29 @@ def _check_power_bits(degree: int, at: GenericPoint):
         raise ExplicitSizeLimit(f"fixed-point powers limited to {MAX_POWER_BITS} bits, got {bits}")
 
 
-def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
+def _check_point(space: Space, at: GenericPoint):
     if len(at) != space.n:
         raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
-    coeff_scale, max_degree, coeffs, deficits, columns, masks = terms
-    if not coeffs:
-        return _ZERO
-    _check_power_bits(max_degree, at)
-    scale = at.scale
-    scale_powers = {d: scale ** d for d in set(deficits)}
-    values = [c * scale_powers[d] for c, d in zip(coeffs, deficits)]
-    for x, column in zip(at.numerators, columns):
+
+
+def _term_values(values: list, columns, numerators) -> list:
+    """Each term's value times the power of every variable's integer
+    numerator, one exponent column per variable."""
+    for x, column in zip(numerators, columns):
         powers = {k: x ** k for k in set(column)}
         values = [v * powers[k] for v, k in zip(values, column)]
-    # signed[m] totals the terms whose parity mask is m; the Walsh-Hadamard
-    # transform turns it into V's scaled value at each sign mask, where a
-    # term changes sign when its mask and the negated coordinates share an
-    # odd number of bits
-    size = 1 << space.n
+    return values
+
+
+def _at_sign_masks(values: list, masks: list, n: int) -> list:
+    """The sum of the terms at every sign mask.
+
+    The terms are totalled per parity mask; the Walsh-Hadamard transform
+    turns these totals into the sum at each sign mask, where a term changes
+    sign when its mask and the negated coordinates share an odd number of
+    bits.
+    """
+    size = 1 << n
     signed = [0] * size
     for mask, value in zip(masks, values):
         signed[mask] += value
@@ -218,12 +235,33 @@ def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
                 a, b = signed[i], signed[i + step]
                 signed[i], signed[i + step] = a + b, a - b
         step *= 2
+    return signed
 
-    euler = [_euler_numerator(space, negatives, at) for negatives in range(size)]
-    common = lcm(*euler)
-    total = Fraction(sum(value * (common // e) for value, e in zip(signed, euler)), common)
-    total *= Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
+
+def _fixed_point_total(values: list, denominators: list, factor: Fraction,
+                       space: Space) -> Fraction:
+    """factor times the sum of values[m] / denominators[m] over the sign
+    masks m, added over the least common multiple of the denominators;
+    halved on og-even, whose fixed points are those of both components."""
+    common = lcm(*denominators)
+    total = Fraction(sum(value * (common // d) for value, d in zip(values, denominators)), common)
+    total *= factor
     return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
+
+
+def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
+    _check_point(space, at)
+    coeff_scale, max_degree, coeffs, deficits, columns, masks = terms
+    if not coeffs:
+        return _ZERO
+    _check_power_bits(max_degree, at)
+    scale = at.scale
+    scale_powers = {d: scale ** d for d in set(deficits)}
+    values = [c * scale_powers[d] for c, d in zip(coeffs, deficits)]
+    signed = _at_sign_masks(_term_values(values, columns, at.numerators), masks, space.n)
+    euler = [_euler_numerator(space, negatives, at) for negatives in range(1 << space.n)]
+    factor = Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
+    return _fixed_point_total(signed, euler, factor, space)
 
 
 def _check_class(V: SparsePoly, space: Space):
@@ -258,3 +296,79 @@ def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:
     _check_class(V, space)
     terms = _point_free_terms(V)
     return all(_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)
+
+
+def _cycle_sign(perm) -> int:
+    """(-1)^(n - number of cycles) of a permutation of range(n): each
+    element after the first of a cycle is one transposition."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        j = perm[start]
+        while not seen[j] and j != start:
+            seen[j] = True
+            sign = -sign
+            j = perm[j]
+        seen[start] = True
+    return sign
+
+
+def _alternant_terms(lam: Partition, n: int) -> tuple:
+    """What no parameter point changes in det(x_j^(a_i)), a = lam + delta
+    with delta = (n-1, ..., 0): (its degree, |lam|, the sign of each of the
+    n! permutation terms, one exponent column per variable, parity masks).
+
+    The term of the permutation ``perm`` is prod_j x_j^(a_perm[j]).
+    """
+    check_size(lam, n)
+    a = [lam.part(i) + n - 1 - i for i in range(n)]
+    signs, rows = [], []
+    for perm in permutations(range(n)):
+        signs.append(_cycle_sign(perm))
+        rows.append([a[i] for i in perm])
+    masks = [sum(1 << j for j, k in enumerate(row) if k & 1) for row in rows]
+    return sum(a), lam.weight, signs, list(zip(*rows)), masks
+
+
+def _vandermonde_numerator(negatives: int, at: GenericPoint) -> int:
+    """prod_{i<j} (x_i - x_j) times ``at.scale ** (n(n-1)/2)`` at the sign
+    vector whose negative entries are the set bits of ``negatives``."""
+    signed = _signed_numerators(negatives, at)
+    result = 1
+    for i, x in enumerate(signed):
+        for y in signed[i + 1:]:
+            result *= x - y
+    return result
+
+
+def _schur_sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
+    _check_point(space, at)
+    degree, weight, signs, columns, masks = terms
+    _check_power_bits(degree, at)
+    det = _at_sign_masks(_term_values(signs, columns, at.numerators), masks, space.n)
+    denominators = [_vandermonde_numerator(negatives, at) * _euler_numerator(space, negatives, at)
+                    for negatives in range(1 << space.n)]
+    factor = Fraction(at.scale ** space.dimension, at.scale ** weight)
+    return _fixed_point_total(det, denominators, factor, space)
+
+
+def schur_localization_sum(lam: Partition, space: Space, at: GenericPoint) -> Fraction:
+    """Exact fixed-point sum of s_lam(eps * t) / Euler factor, without
+    expanding s_lam.
+
+    At each sign vector s_lam(x) is the bialternant ratio
+    det(x_j^(a_i)) / prod_{i<j}(x_i - x_j) with a = lam + delta.  The n!
+    terms of the determinant are totalled per parity mask and transformed
+    as in ``localization_sum``; each mask's determinant is divided by its
+    Vandermonde numerator times its Euler numerator, and the quotients are
+    added over their least common multiple.  The power guard counts the
+    determinant's degree |lam| + n(n-1)/2.
+    """
+    return _schur_sum_at(_alternant_terms(lam, space.n), space, at)
+
+
+def schur_cross_check(lam: Partition, space: Space, value: SparsePoly, points) -> bool:
+    """True if the fixed-point sum of s_lam equals ``value`` at every point;
+    the determinant's point-independent part is built once."""
+    terms = _alternant_terms(lam, space.n)
+    return all(_schur_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)

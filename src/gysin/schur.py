@@ -10,7 +10,9 @@
 All three agree exactly and produce the standard Schur polynomial with
 non-negative integer coefficients.  The push-forward engine expands no
 Schur class on its residue path (it starts from the alternant of
-lam + delta); the closed form's s_mu(t^2) comes from the tableau sum.
+lam + delta); the closed form's s_mu(t^2) comes from the tableau sum, and
+the fixed-point sum evaluates s_lam as a determinant of its own.  The
+bialternant serves ``schur --via bialternant`` and the tests.
 """
 
 from __future__ import annotations

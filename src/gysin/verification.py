@@ -1,7 +1,10 @@
 """Cross-validation sweeps: residue path vs closed form vs fixed-point sums.
 
 Used by the CLI ``verify`` and ``table`` commands and by the acceptance
-suite.  Every case is compared by all three methods on every space.  On
+suite.  Every case is compared by all three methods on every space, and
+none of them expands s_lam: the residue starts from one alternant, the
+closed form from the tableau sum of s_mu, and the fixed-point sum takes
+s_lam as a determinant over the Vandermonde at each fixed point.  On
 og-even the fixed-point sum runs over both components and is halved: the
 residue value there is the mean of the two component sums, on every
 class, decomposable or not.
@@ -13,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExplicitSizeLimit
-from .localization import cross_check, default_point, seeded_points
+from .localization import default_point, schur_cross_check, seeded_points
 from .partitions import Partition, partitions_up_to_weight
 from .poly import SparsePoly
 from .pushforward import PushforwardResult, closed_form, pushforward_schur, schur_residue
-from .schur import MAX_RANK, schur_bialternant
+from .schur import MAX_RANK
 from .spaces import Space, SpaceKind
 
 ALL_KINDS = (SpaceKind.LAGRANGIAN, SpaceKind.ORTHOGONAL_EVEN, SpaceKind.ORTHOGONAL_ODD)
@@ -77,8 +80,7 @@ def evaluate_case(space: Space, lam: Partition, points) -> CaseResult:
         # s_mu(t^2), nonzero; the closed form already built it
         measured = measure_constant(residue, expected.value * (1 / expected.constant))
 
-    # the expanded s_lam serves the fixed-point sum only
-    oracle_match = cross_check(schur_bialternant(lam, space.n), space, residue, points)
+    oracle_match = schur_cross_check(lam, space, residue, points)
     return CaseResult(
         space, lam, residue, expected, closed_match, len(points), oracle_match, measured
     )

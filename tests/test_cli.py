@@ -238,6 +238,14 @@ def test_pushforward_huge_first_part_exits_2(capsys, method):
         2, "", "error: semistandard tableaux limited to 4194304, got 50000000000000000001\n")
 
 
+def test_pushforward_huge_first_part_abbv_exits_2(capsys):
+    # the fixed-point sum never expands s_lambda: the power guard counts the
+    # determinant's degree |lambda| + 1 at t = (1, 2), two bits a power
+    assert run_cli(capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda",
+                   "100000000000000000002,1", "--method", "abbv") == (
+        2, "", "error: fixed-point powers limited to 1048576 bits, got 200000000000000000008\n")
+
+
 def test_pushforward_json_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda", "4,1",

@@ -14,6 +14,8 @@ from gysin.localization import (
     euler_factor,
     fixed_points,
     localization_sum,
+    schur_cross_check,
+    schur_localization_sum,
     seeded_points,
 )
 from gysin.partitions import Partition, partitions_up_to_weight
@@ -148,6 +150,8 @@ def test_localization_sum_wrong_point_length(values):
         localization_sum(V, lg(2), point)
     with pytest.raises(VariableCountMismatch):
         cross_check(V, lg(2), pushforward_symmetric(V, lg(2)), [point])
+    with pytest.raises(VariableCountMismatch):
+        schur_localization_sum(Partition([2, 1]), lg(2), point)
 
 
 def test_power_guard_comes_before_any_power():
@@ -162,6 +166,12 @@ def test_power_guard_comes_before_any_power():
             localization_sum(V, lg(1), GenericPoint(at))
         with pytest.raises(ExplicitSizeLimit):
             cross_check(V, lg(1), SparsePoly.zero(1), [GenericPoint(at), default_point(1)])
+        with pytest.raises(ExplicitSizeLimit, match="^fixed-point powers limited to "):
+            schur_localization_sum(Partition([degree]), lg(1), GenericPoint(at))
+    # the Schur sum counts the determinant's degree |lambda| + n(n-1)/2, two
+    # bits a power at t = (1, 2)
+    with pytest.raises(ExplicitSizeLimit, match=f"got {MAX_POWER_BITS + 2}$"):
+        schur_localization_sum(Partition([MAX_POWER_BITS // 2]), lg(2), default_point(2))
 
 
 def test_scaling_covariance():
@@ -213,6 +223,27 @@ def test_localization_sum_equals_plain_evaluation(space_factory, case):
     assert localization_sum(V, space, point) == plain
 
 
+# The two sign conventions a sign mask can get wrong show at a point with a
+# negative and a fractional coordinate.
+NEGATIVE_FRACTIONAL = (Fraction(-1, 2), 3, Fraction(5, 3), -7)
+
+
+@given(
+    st.sampled_from([lg, og_even, og_odd]),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 6), max_size=n), st.integers(0, 1000))),
+)
+def test_schur_localization_sum_equals_the_expanded_sum(space_factory, case):
+    # the determinant over the Vandermonde at each sign mask against the
+    # mask-grouped sum of the expanded bialternant
+    n, parts, seed = case
+    space, lam = space_factory(n), Partition(sorted(parts, reverse=True))
+    V = schur_bialternant(lam, n)
+    points = [default_point(n), GenericPoint(NEGATIVE_FRACTIONAL[:n])] + seeded_points(n, 2, seed)
+    for pt in points:
+        assert schur_localization_sum(lam, space, pt) == localization_sum(V, space, pt)
+
+
 # -- cross_check ------------------------------------------------------------------
 
 @given(
@@ -249,6 +280,7 @@ def test_cross_check_all_match():
     V = schur_bialternant(Partition([4, 1]), 2)
     value = pushforward_symmetric(V, lg(2))
     assert cross_check(V, lg(2), value, lg2_points(20, 0))
+    assert schur_cross_check(Partition([4, 1]), lg(2), value, lg2_points(20, 0))
 
 
 def test_cross_check_zero_case():
@@ -264,3 +296,5 @@ def test_cross_check_detects_corrupted_result():
     points = lg2_points(3, 0)
     assert not cross_check(V, lg(2), corrupted, points)
     assert not any(cross_check(V, lg(2), corrupted, [pt]) for pt in points)
+    assert not schur_cross_check(Partition([4, 1]), lg(2), corrupted, points)
+    assert not any(schur_cross_check(Partition([4, 1]), lg(2), corrupted, [pt]) for pt in points)

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gysin import pushforward, schur
+from gysin import cli, localization, pushforward, schur, verification
 from gysin.errors import (
     ExplicitSizeLimit,
     InexactDivision,
@@ -256,15 +256,25 @@ def test_schur_residue_equals_the_expanded_class(case):
     assert pushforward_schur(lam, space).value == expected
 
 
-def test_schur_pushforward_and_closed_form_never_expand_s_lambda(monkeypatch):
-    def refuse(lam, nvars):
-        raise AssertionError(f"s_{lam} expanded as a bialternant")
+def test_schur_pushforward_and_closed_form_never_expand_s_lambda(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
 
-    monkeypatch.setattr(schur, "schur_bialternant", refuse)
-    monkeypatch.setattr(pushforward, "schur_bialternant", refuse, raising=False)
+    for module in (schur, pushforward, verification, cli):
+        monkeypatch.setattr(module, "schur_bialternant", refuse, raising=False)
+    # the fixed-point sum builds its own permutations, apart from the residue's
+    for name in ("alternant", "permutation_sign"):
+        monkeypatch.setattr(localization, name, refuse, raising=False)
+    points = [default_point(3)] + seeded_points(3, 2, seed=4)
     for space in (lg(3), og_even(3), og_odd(3)):
         for lam in partitions_up_to_weight(3, 8):
             assert pushforward_schur(lam, space).value == closed_form(lam, space).value
+            assert verification.evaluate_case(space, lam, points).ok
+    assert verification.run_verification(n_max=3, weight_max=6).all_ok
+    for method in ("abbv", "all"):
+        assert cli.main(["pushforward", "--space", "og-odd", "--n", "4", "--lambda", "6,3,2,1",
+                         "--method", method]) == 0
+    assert "oracle: 480\n" in capsys.readouterr().out
 
 
 # -- closed_form ------------------------------------------------------------------
