@@ -7,20 +7,26 @@ exact rational arithmetic at explicitly chosen generic parameter points;
 no residue machinery is involved, which is what makes it usable as an
 oracle for the residue engine.
 
-The sum runs over the 2^n sign masks (the bits are the negated
-coordinates): V's signed values at all of them come from one
-Walsh-Hadamard transform of its totals per parity mask, and they are
-added over the least common multiple of the integer Euler numerators.
-``cross_check`` computes the point-independent part of V's terms
-(integer coefficients, degree deficits, parity masks, exponents) once for
-all its points; nothing is cached between calls.
+The fixed points are the 2^n sign vectors, each written as the mask of its
+negated coordinates; on og-even they cover both components of OG(n, 2n)
+and the total is halved.  The sum starts from a map of integer terms: V's
+coefficients over their common denominator, or, for a Schur class s_lam,
+the n! signed permutation terms of det(x_j^(a_i)), a = lam + delta, which
+is s_lam times the Vandermonde prod_{i<j}(x_i - x_j), so s_lam is never
+expanded.  At a point, each term is scaled to an integer over a common
+power of the point's denominator.  A term changes sign at a mask sharing
+an odd number of bits with its parity mask (the variables with odd
+exponents), so the terms are totalled per parity mask and one
+Walsh-Hadamard transform gives the signed total at every mask.  Each
+total is divided by that mask's integer Euler numerator, times its
+Vandermonde numerator for a Schur class, and the quotients are added over
+their least common multiple.  Before any power is taken, powers of more
+than MAX_POWER_BITS bits are refused.
 
-A Schur class s_lam is never expanded: ``schur_localization_sum`` and
-``schur_cross_check`` evaluate it at each sign mask as the bialternant
-ratio det(x_j^(a_i)) / prod_{i<j}(x_i - x_j), a = lam + delta, the n!
-permutation terms of the determinant going through the same transform,
-and divide each mask's value by its Vandermonde and Euler numerators.
-These permutations are built here, apart from the residue path's
+The point-independent part of the terms (coefficients, degree deficits,
+exponent columns, parity masks) is built once per class and shared by
+all the points of a cross-check; nothing is cached between calls.  The
+determinant's permutations are built here, apart from the residue path's
 alternant.
 """
 
@@ -86,17 +92,6 @@ class GenericPoint:
 
     def __len__(self):
         return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, GenericPoint):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __repr__(self):
         return f"GenericPoint{_show(self.values)}"
@@ -172,13 +167,28 @@ def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
     return result
 
 
-def _point_free_terms(V: SparsePoly) -> tuple:
-    """What no parameter point changes in V's terms, term by term:
-    (common denominator of the coefficients, largest degree, integer
-    coefficients over it, degree deficits to the largest degree, one
-    exponent column per variable, parity masks whose set bits are the
-    variables with odd exponents)."""
-    terms, coeff_scale = V.integer_terms()
+def _vandermonde_numerator(negatives: int, at: GenericPoint) -> int:
+    """prod_{i<j} (x_i - x_j) times ``at.scale ** (n(n-1)/2)`` at the sign
+    vector whose negative entries are the set bits of ``negatives``."""
+    signed = _signed_numerators(negatives, at)
+    result = 1
+    for i, x in enumerate(signed):
+        for y in signed[i + 1:]:
+            result *= x - y
+    return result
+
+
+def _point_free_terms(terms: dict, denominator: int, pairs: int) -> tuple:
+    """What no parameter point changes in the class ``terms`` (exponents ->
+    integer coefficient) over ``denominator``, divided by the Vandermonde
+    when ``pairs``, its degree, is nonzero: (denominator, pairs, largest
+    degree, coefficients, one exponent column per variable, parity masks
+    whose set bits are the variables with odd exponents).
+
+    A class that is not homogeneous gets one more column, each term's
+    degree deficit to the largest degree: the exponent of the point's
+    common denominator that brings the term to that degree.
+    """
     degrees = list(map(sum, terms))
     max_degree = max(degrees, default=0)
     columns = list(zip(*terms))
@@ -186,116 +196,15 @@ def _point_free_terms(V: SparsePoly) -> tuple:
     for i, column in enumerate(columns):
         bit = 1 << i
         masks = [m | bit if k & 1 else m for m, k in zip(masks, column)]
-    return (coeff_scale, max_degree, list(terms.values()),
-            [max_degree - d for d in degrees], columns, masks)
+    if any(d != max_degree for d in degrees):
+        columns.append([max_degree - d for d in degrees])
+    return denominator, pairs, max_degree, list(terms.values()), columns, masks
 
 
-def _check_power_bits(degree: int, at: GenericPoint):
-    """The exponent guard of the fixed-point sum, before any power is taken.
-
-    A monomial of the given degree at this point is a product of powers of
-    the point's integer numerators and common denominator; their bit
-    lengths times the degree bound the bits of any such power.
-    """
-    bits = degree * max(x.bit_length() for x in (at.scale, *at.numerators))
-    if bits > MAX_POWER_BITS:
-        raise ExplicitSizeLimit(f"fixed-point powers limited to {MAX_POWER_BITS} bits, got {bits}")
-
-
-def _check_point(space: Space, at: GenericPoint):
-    if len(at) != space.n:
-        raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
-
-
-def _term_values(values: list, columns, numerators) -> list:
-    """Each term's value times the power of every variable's integer
-    numerator, one exponent column per variable."""
-    for x, column in zip(numerators, columns):
-        powers = {k: x ** k for k in set(column)}
-        values = [v * powers[k] for v, k in zip(values, column)]
-    return values
-
-
-def _at_sign_masks(values: list, masks: list, n: int) -> list:
-    """The sum of the terms at every sign mask.
-
-    The terms are totalled per parity mask; the Walsh-Hadamard transform
-    turns these totals into the sum at each sign mask, where a term changes
-    sign when its mask and the negated coordinates share an odd number of
-    bits.
-    """
-    size = 1 << n
-    signed = [0] * size
-    for mask, value in zip(masks, values):
-        signed[mask] += value
-    step = 1
-    while step < size:
-        for start in range(0, size, 2 * step):
-            for i in range(start, start + step):
-                a, b = signed[i], signed[i + step]
-                signed[i], signed[i + step] = a + b, a - b
-        step *= 2
-    return signed
-
-
-def _fixed_point_total(values: list, denominators: list, factor: Fraction,
-                       space: Space) -> Fraction:
-    """factor times the sum of values[m] / denominators[m] over the sign
-    masks m, added over the least common multiple of the denominators;
-    halved on og-even, whose fixed points are those of both components."""
-    common = lcm(*denominators)
-    total = Fraction(sum(value * (common // d) for value, d in zip(values, denominators)), common)
-    total *= factor
-    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
-
-
-def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
-    _check_point(space, at)
-    coeff_scale, max_degree, coeffs, deficits, columns, masks = terms
-    if not coeffs:
-        return _ZERO
-    _check_power_bits(max_degree, at)
-    scale = at.scale
-    scale_powers = {d: scale ** d for d in set(deficits)}
-    values = [c * scale_powers[d] for c, d in zip(coeffs, deficits)]
-    signed = _at_sign_masks(_term_values(values, columns, at.numerators), masks, space.n)
-    euler = [_euler_numerator(space, negatives, at) for negatives in range(1 << space.n)]
-    factor = Fraction(scale ** space.dimension, coeff_scale * scale ** max_degree)
-    return _fixed_point_total(signed, euler, factor, space)
-
-
-def _check_class(V: SparsePoly, space: Space):
+def _class_terms(V: SparsePoly, space: Space) -> tuple:
     if V.nvars != space.n:
         raise VariableCountMismatch(f"class has {V.nvars} variables, space rank is {space.n}")
-
-
-def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
-    """Exact fixed-point sum of V(eps * t) / Euler factor.
-
-    The sum runs over all 2^n sign vectors; on og-even it covers both
-    components and is halved.  The restrictions at the fixed points differ
-    only by signs of the monomial values, and a monomial's sign depends
-    only on which of its exponents are odd.  So each monomial is scaled
-    once to an integer over a common denominator, the values are totalled
-    per parity mask, one Walsh-Hadamard transform gives the signed total
-    at every fixed point, and these are added over the least common
-    multiple of the integer Euler numerators.  Powers whose bits would
-    exceed MAX_POWER_BITS raise ExplicitSizeLimit before any is taken.
-    """
-    _check_class(V, space)
-    return _sum_at(_point_free_terms(V), space, at)
-
-
-def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:
-    """True if the fixed-point sum of V equals ``value`` at every point.
-
-    ``value`` is a push-forward computed some other way, as a polynomial
-    in t; only the values are compared.  The point-independent part of
-    V's terms is computed once, and only the powers are taken per point.
-    """
-    _check_class(V, space)
-    terms = _point_free_terms(V)
-    return all(_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)
+    return _point_free_terms(*V.integer_terms(), 0)
 
 
 def _cycle_sign(perm) -> int:
@@ -314,61 +223,97 @@ def _cycle_sign(perm) -> int:
 
 
 def _alternant_terms(lam: Partition, n: int) -> tuple:
-    """What no parameter point changes in det(x_j^(a_i)), a = lam + delta
-    with delta = (n-1, ..., 0): (its degree, |lam|, the sign of each of the
-    n! permutation terms, one exponent column per variable, parity masks).
-
-    The term of the permutation ``perm`` is prod_j x_j^(a_perm[j]).
-    """
+    """The point-free terms of det(x_j^(a_i)), a = lam + delta with
+    delta = (n-1, ..., 0), over the Vandermonde: the permutation ``perm``
+    gives the term prod_j x_j^(a_perm[j])."""
     check_size(lam, n)
     a = [lam.part(i) + n - 1 - i for i in range(n)]
-    signs, rows = [], []
-    for perm in permutations(range(n)):
-        signs.append(_cycle_sign(perm))
-        rows.append([a[i] for i in perm])
-    masks = [sum(1 << j for j, k in enumerate(row) if k & 1) for row in rows]
-    return sum(a), lam.weight, signs, list(zip(*rows)), masks
+    terms = dict(zip(permutations(a), map(_cycle_sign, permutations(range(n)))))
+    return _point_free_terms(terms, 1, n * (n - 1) // 2)
 
 
-def _vandermonde_numerator(negatives: int, at: GenericPoint) -> int:
-    """prod_{i<j} (x_i - x_j) times ``at.scale ** (n(n-1)/2)`` at the sign
-    vector whose negative entries are the set bits of ``negatives``."""
-    signed = _signed_numerators(negatives, at)
-    result = 1
-    for i, x in enumerate(signed):
-        for y in signed[i + 1:]:
-            result *= x - y
-    return result
+def _check_power_bits(degree: int, at: GenericPoint):
+    """The exponent guard of the fixed-point sum, before any power is taken.
+
+    A monomial of the given degree at this point is a product of powers of
+    the point's integer numerators and common denominator; their bit
+    lengths times the degree bound the bits of any such power.
+    """
+    bits = degree * max(x.bit_length() for x in (at.scale, *at.numerators))
+    if bits > MAX_POWER_BITS:
+        raise ExplicitSizeLimit(f"fixed-point powers limited to {MAX_POWER_BITS} bits, got {bits}")
 
 
-def _schur_sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
-    _check_point(space, at)
-    degree, weight, signs, columns, masks = terms
-    _check_power_bits(degree, at)
-    det = _at_sign_masks(_term_values(signs, columns, at.numerators), masks, space.n)
-    denominators = [_vandermonde_numerator(negatives, at) * _euler_numerator(space, negatives, at)
-                    for negatives in range(1 << space.n)]
-    factor = Fraction(at.scale ** space.dimension, at.scale ** weight)
-    return _fixed_point_total(det, denominators, factor, space)
+def _term_values(values: list, columns, bases) -> list:
+    """Each term's value times the power of each base given by its column;
+    bases without a column are skipped."""
+    for x, column in zip(bases, columns):
+        powers = {k: x ** k for k in set(column)}
+        values = [v * powers[k] for v, k in zip(values, column)]
+    return values
+
+
+def _at_sign_masks(values: list, masks: list, n: int) -> list:
+    """The sum of the terms at every sign mask: their totals per parity
+    mask, Walsh-Hadamard transformed."""
+    size = 1 << n
+    signed = [0] * size
+    for mask, value in zip(masks, values):
+        signed[mask] += value
+    step = 1
+    while step < size:
+        for start in range(0, size, 2 * step):
+            for i in range(start, start + step):
+                a, b = signed[i], signed[i + step]
+                signed[i], signed[i + step] = a + b, a - b
+        step *= 2
+    return signed
+
+
+def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
+    if len(at) != space.n:
+        raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
+    denominator, pairs, max_degree, coeffs, columns, masks = terms
+    if not coeffs:
+        return _ZERO
+    _check_power_bits(max_degree, at)
+    scale = at.scale
+    values = _term_values(coeffs, columns, (*at.numerators, scale))
+    signed = _at_sign_masks(values, masks, space.n)
+    divisors = [_euler_numerator(space, m, at) * (_vandermonde_numerator(m, at) if pairs else 1)
+                for m in range(1 << space.n)]
+    common = lcm(*divisors)
+    total = Fraction(sum(v * (common // d) for v, d in zip(signed, divisors)), common)
+    total *= Fraction(scale ** (space.dimension + pairs), denominator * scale ** max_degree)
+    return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
+
+
+def _matches(terms: tuple, space: Space, value: SparsePoly, points) -> bool:
+    return all(_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)
+
+
+def localization_sum(V: SparsePoly, space: Space, at: GenericPoint) -> Fraction:
+    """Exact fixed-point sum of V(eps * t) / Euler factor over all 2^n sign
+    vectors, halved on og-even.  Raises VariableCountMismatch when V or
+    ``at`` does not have n variables, and ExplicitSizeLimit before taking
+    a power of more than MAX_POWER_BITS bits."""
+    return _sum_at(_class_terms(V, space), space, at)
+
+
+def cross_check(V: SparsePoly, space: Space, value: SparsePoly, points) -> bool:
+    """True if ``localization_sum`` of V equals ``value``, a push-forward
+    computed some other way, at every point."""
+    return _matches(_class_terms(V, space), space, value, points)
 
 
 def schur_localization_sum(lam: Partition, space: Space, at: GenericPoint) -> Fraction:
-    """Exact fixed-point sum of s_lam(eps * t) / Euler factor, without
-    expanding s_lam.
-
-    At each sign vector s_lam(x) is the bialternant ratio
-    det(x_j^(a_i)) / prod_{i<j}(x_i - x_j) with a = lam + delta.  The n!
-    terms of the determinant are totalled per parity mask and transformed
-    as in ``localization_sum``; each mask's determinant is divided by its
-    Vandermonde numerator times its Euler numerator, and the quotients are
-    added over their least common multiple.  The power guard counts the
-    determinant's degree |lam| + n(n-1)/2.
-    """
-    return _schur_sum_at(_alternant_terms(lam, space.n), space, at)
+    """``localization_sum`` of s_lam, without expanding s_lam.  The size
+    guard of ``schur.check_size`` comes first, and the power guard counts
+    the degree |lam| + n(n-1)/2 of s_lam times the Vandermonde."""
+    return _sum_at(_alternant_terms(lam, space.n), space, at)
 
 
 def schur_cross_check(lam: Partition, space: Space, value: SparsePoly, points) -> bool:
-    """True if the fixed-point sum of s_lam equals ``value`` at every point;
-    the determinant's point-independent part is built once."""
-    terms = _alternant_terms(lam, space.n)
-    return all(_schur_sum_at(terms, space, pt) == value.evaluate(pt.values) for pt in points)
+    """True if ``schur_localization_sum`` of lam equals ``value`` at every
+    point."""
+    return _matches(_alternant_terms(lam, space.n), space, value, points)

@@ -36,6 +36,9 @@ MAX_DEPTH = 500
 # (far fewer where shapes repeat); refuse shapes with more tableaux than
 # this, a few seconds of work with three variables.
 MAX_TABLEAUX = 1 << 22
+# Each term of the tableau sum holds nvars exponents; refuse more tableaux
+# times variables than the tableau guard lets through at MAX_RANK.
+MAX_ENTRIES = MAX_TABLEAUX * MAX_RANK
 
 _ONE = Fraction(1)
 
@@ -68,6 +71,26 @@ def tableau_count(lam: Partition, nvars: int) -> int:
     pairs = [(parts[i] - parts[j], j - i) for i in range(min(len(lam), nvars))
              for j in range(i + 1, nvars) if parts[i] != parts[j]]
     return prod(d + gap for d, gap in pairs) // prod(gap for _, gap in pairs)
+
+
+def _check_tableaux(lam: Partition, nvars: int):
+    """The size guards of the tableau sum and of every construction of it,
+    for a validated lam.
+
+    A nonempty shape with k parts has at least nvars - k + 1 tableaux (the
+    last box of row k holds any of k..nvars), so that bound is checked
+    before ``tableau_count`` pads lam to nvars parts.
+    """
+    least = nvars * (nvars - lam.length + 1 if lam.length else 1)
+    if least > MAX_ENTRIES:
+        raise ExplicitSizeLimit(f"tableaux times variables limited to {MAX_ENTRIES}, "
+                                f"got at least {least}")
+    count = tableau_count(lam, nvars)
+    if count > MAX_TABLEAUX:
+        raise ExplicitSizeLimit(f"semistandard tableaux limited to {MAX_TABLEAUX}, got {count}")
+    if count * nvars > MAX_ENTRIES:
+        raise ExplicitSizeLimit(f"tableaux times variables limited to {MAX_ENTRIES}, "
+                                f"got {count * nvars}")
 
 
 def check_size(lam: Partition, nvars: int):
@@ -126,21 +149,14 @@ def permutation_sign(perm) -> int:
 
 
 def alternant(exponents, nvars: int) -> SparsePoly:
-    """det(z_c^(exponents_r)): signed sum over all permutations."""
+    """det(z_c^(exponents_r)): signed sum over all permutations, zero when
+    an exponent repeats."""
     if len(exponents) != nvars:
         raise InvalidPartition(f"need {nvars} exponents, got {len(exponents)}")
-    terms: dict = {}
-    for perm in permutations(range(nvars)):
-        e = [0] * nvars
-        for r, var in enumerate(perm):
-            e[var] = exponents[r]
-        key = tuple(e)
-        c = terms.get(key, 0) + permutation_sign(perm)
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-    return SparsePoly(nvars, terms)
+    if len(set(exponents)) < nvars:
+        return SparsePoly.zero(nvars)
+    return SparsePoly(nvars, dict(zip(permutations(exponents),
+                                      map(permutation_sign, permutations(range(nvars))))))
 
 
 def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
@@ -177,9 +193,7 @@ def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:
     of the vector.
     """
     _validate(lam, nvars)
-    count = tableau_count(lam, nvars)
-    if count > MAX_TABLEAUX:
-        raise ExplicitSizeLimit(f"semistandard tableaux limited to {MAX_TABLEAUX}, got {count}")
+    _check_tableaux(lam, nvars)
     levels = [{lam.parts}]
     for k in range(nvars, 0, -1):
         levels.append({nu for mu in levels[-1] for nu in _interlacing(mu, k)})
@@ -238,8 +252,12 @@ def schur_from_elementary(lam: Partition, e_of: Callable[[int], SparsePoly], nva
 
 
 def schur_dual_jacobi_trudi(lam: Partition, nvars: int) -> SparsePoly:
-    """Schur polynomial via the determinant in elementary symmetric polynomials."""
+    """Schur polynomial via the determinant in elementary symmetric
+    polynomials, refused where the tableau sum is."""
     _validate(lam, nvars)
+    # the column guard of schur_from_elementary keeps its place before the size guards
+    check_depth(lam.part(0), "Jacobi-Trudi columns")
+    _check_tableaux(lam, nvars)
     cache: dict = {}
 
     def e_of(k: int) -> SparsePoly:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,21 @@ def test_schur_recursion_guard_exits_2(capsys, via, message):
         0, "z1^500\n", "")
     assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "2000") == (
         2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("via", ["tableaux", "jacobi-trudi"])
+@pytest.mark.parametrize("n, lam, message", [
+    ("1000", "1,1", "got 499500000"),
+    ("1000000000", "1", "got at least 1000000000000000000"),
+], ids=["count", "lower-bound"])
+def test_schur_many_variables_exits_2(capsys, via, n, lam, message):
+    # every term holds n exponents: 499,500 tableaux at n = 1000 are under
+    # the tableau guard but not under tableaux times variables, and at
+    # n = 10^9 a lower bound on the count refuses before lam is padded
+    start = time.perf_counter()
+    assert run_cli(capsys, "schur", "--via", via, "--n", n, "--lambda", lam) == (
+        2, "", f"error: tableaux times variables limited to 33554432, {message}\n")
+    assert time.perf_counter() - start < 1
 
 
 # -- pushforward -------------------------------------------------------------

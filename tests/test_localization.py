@@ -20,7 +20,7 @@ from gysin.localization import (
 )
 from gysin.partitions import Partition, partitions_up_to_weight
 from gysin.poly import SparsePoly
-from gysin.pushforward import pushforward_symmetric
+from gysin.pushforward import pushforward_symmetric, schur_residue
 from gysin.schur import monomial_symmetric, schur_bialternant
 from gysin.spaces import SpaceKind, lg, og_even, og_odd
 
@@ -152,6 +152,8 @@ def test_localization_sum_wrong_point_length(values):
         cross_check(V, lg(2), pushforward_symmetric(V, lg(2)), [point])
     with pytest.raises(VariableCountMismatch):
         schur_localization_sum(Partition([2, 1]), lg(2), point)
+    with pytest.raises(VariableCountMismatch):
+        schur_cross_check(Partition([2, 1]), lg(2), pushforward_symmetric(V, lg(2)), [point])
 
 
 def test_power_guard_comes_before_any_power():
@@ -245,6 +247,22 @@ def test_schur_localization_sum_equals_the_expanded_sum(space_factory, case):
 
 
 # -- cross_check ------------------------------------------------------------------
+
+@given(
+    st.sampled_from([lg, og_even, og_odd]),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 6), max_size=n), st.integers(0, 1000))),
+)
+def test_schur_cross_check_accepts_the_residue_and_only_it(space_factory, case):
+    # the determinant oracle against the residue path, which shares none of
+    # its code, at points with negative and fractional coordinates
+    n, parts, seed = case
+    space, lam = space_factory(n), Partition(sorted(parts, reverse=True))
+    value = schur_residue(lam, space)
+    points = [default_point(n), GenericPoint(NEGATIVE_FRACTIONAL[:n])] + seeded_points(n, 2, seed)
+    assert schur_cross_check(lam, space, value, points)
+    assert not schur_cross_check(lam, space, value + 1, points)
+
 
 @given(
     st.sampled_from([lg, og_even, og_odd]),
