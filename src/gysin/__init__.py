@@ -55,11 +55,8 @@ from .pushforward import (
     pushforward_symmetric,
 )
 from .schur import (
-    elementary_symmetric,
     monomial_symmetric,
     schur_bialternant,
-    schur_dual_jacobi_trudi,
-    schur_from_elementary,
     schur_squared_args,
     schur_tableaux,
     vandermonde_factors,
@@ -90,7 +87,6 @@ __all__ = [
     "cross_check",
     "decompose",
     "default_point",
-    "elementary_symmetric",
     "enumerate_ssyt",
     "euler_factor",
     "fixed_points",
@@ -108,8 +104,6 @@ __all__ = [
     "run_verification",
     "schur_bialternant",
     "schur_cross_check",
-    "schur_dual_jacobi_trudi",
-    "schur_from_elementary",
     "schur_localization_sum",
     "schur_squared_args",
     "schur_tableaux",

@@ -24,7 +24,7 @@ from .errors import GysinError, InternalInconsistency
 from .localization import GenericPoint, default_point, schur_localization_sum, seeded_points
 from .partitions import Partition
 from .pushforward import PushforwardResult, closed_form, pushforward_schur
-from .schur import schur_bialternant, schur_dual_jacobi_trudi, schur_tableaux
+from .schur import schur_bialternant, schur_tableaux
 from .spaces import Space, SpaceKind
 from .verification import ALL_KINDS, evaluate_case, run_verification, table_rows
 
@@ -36,7 +36,6 @@ EXIT_INCONSISTENT = 3
 _SCHUR_BUILDERS = {
     "bialternant": schur_bialternant,
     "tableaux": schur_tableaux,
-    "jacobi-trudi": schur_dual_jacobi_trudi,
 }
 
 

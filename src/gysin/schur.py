@@ -1,26 +1,29 @@
-"""Schur polynomials by three independent constructions.
+"""Schur polynomials by two independent constructions.
 
 * bialternant ratio: det(z_c^(lam_r + d - r)) / prod_{i<j}(z_i - z_j)
 * generating sum over semistandard Young tableaux, built by the branching
   rule: the entries equal to k form a horizontal strip, so one variable
   is added at a time and no tableau is listed one by one
-* dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) in the elementary
-  symmetric polynomials
 
-All three agree exactly and produce the standard Schur polynomial with
+Both agree exactly and produce the standard Schur polynomial with
 non-negative integer coefficients.  The push-forward engine expands no
 Schur class on its residue path (it starts from the alternant of
 lam + delta); the closed form's s_mu(t^2) comes from the tableau sum, and
 the fixed-point sum evaluates s_lam as a determinant of its own.  The
 bialternant serves ``schur --via bialternant`` and the tests.
+
+One budget, MAX_STEPS, bounds both constructions.  Before any work, a
+lower bound on the number of terms times the variables must fit in it;
+the tableau sum then counts its steps and checks, before each phase,
+that the phase keeps the count within the budget.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import prod
-from typing import Callable
+from itertools import permutations, product
+from math import comb, prod
 
 from .errors import ExplicitSizeLimit, InvalidPartition
 from .partitions import Partition
@@ -29,16 +32,13 @@ from .poly import SparsePoly, exact_quotient
 # The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
 # refuse larger ranks.
 MAX_RANK = 8
-# schur_from_elementary recurses once per column; refuse wider shapes, well
-# inside Python's recursion limit.
-MAX_DEPTH = 500
-# schur_tableaux does at most one step per semistandard tableau and level
-# (far fewer where shapes repeat); refuse shapes with more tableaux than
-# this, a few seconds of work with three variables.
-MAX_TABLEAUX = 1 << 22
-# Each term of the tableau sum holds nvars exponents; refuse more tableaux
-# times variables than the tableau guard lets through at MAX_RANK.
-MAX_ENTRIES = MAX_TABLEAUX * MAX_RANK
+# The budget of a Schur construction.  A step of the tableau sum is one
+# (mu, nu) pair or one term read from s_nu; with T tableaux and n
+# variables there are at most 2*n*T of them, so every shape with
+# n*T <= 2^25 fits.  The output's terms times n must fit too.  The
+# slowest shapes it admits, two long rows in three variables, take
+# about 40 s.
+MAX_STEPS = 1 << 26
 
 _ONE = Fraction(1)
 
@@ -56,60 +56,37 @@ def check_rank(nvars: int):
         raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {nvars}")
 
 
-def check_depth(depth: int, what: str):
-    """The recursion guard of the Jacobi-Trudi construction."""
-    if depth > MAX_DEPTH:
-        raise ExplicitSizeLimit(f"{what} limited to {MAX_DEPTH}, got {depth}")
+def _check_budget(what: str, least: int):
+    if least > MAX_STEPS:
+        raise ExplicitSizeLimit(f"{what} limited to {MAX_STEPS}, got at least {least}")
 
 
-def tableau_count(lam: Partition, nvars: int) -> int:
-    """s_lam(1, ..., 1): the number of semistandard tableaux of shape lam
-    with entries in 1..nvars, by Weyl's dimension formula
-    prod_{i<j} (lam_i - lam_j + j - i) / (j - i); pairs of equal parts
-    contribute 1 and are skipped."""
-    parts = lam.padded(nvars)
-    pairs = [(parts[i] - parts[j], j - i) for i in range(min(len(lam), nvars))
-             for j in range(i + 1, nvars) if parts[i] != parts[j]]
-    return prod(d + gap for d, gap in pairs) // prod(gap for _, gap in pairs)
+def _check_terms(lam: Partition, nvars: int):
+    """Refuse, before any work, a validated lam whose s_lam has more terms
+    times variables than the budget; else return the lower bound on the
+    terms.
 
-
-def _check_tableaux(lam: Partition, nvars: int):
-    """The size guards of the tableau sum and of every construction of it,
-    for a validated lam.
-
-    A nonempty shape with k parts has at least nvars - k + 1 tableaux (the
-    last box of row k holds any of k..nvars), so that bound is checked
-    before ``tableau_count`` pads lam to nvars parts.
+    Two lower bounds on the terms: the distinct permutations of lam padded
+    to nvars parts, and C(lam_1 - lam_2 + nvars - 1, nvars - 1), the
+    monomials z^(lam_2, lam_2, lam_3, ..., lam_n) * z^alpha with
+    |alpha| = lam_1 - lam_2, all dominated by lam.  The second is taken
+    only once the first fits, which keeps nvars small where it is large.
     """
-    least = nvars * (nvars - lam.length + 1 if lam.length else 1)
-    if least > MAX_ENTRIES:
-        raise ExplicitSizeLimit(f"tableaux times variables limited to {MAX_ENTRIES}, "
-                                f"got at least {least}")
-    count = tableau_count(lam, nvars)
-    if count > MAX_TABLEAUX:
-        raise ExplicitSizeLimit(f"semistandard tableaux limited to {MAX_TABLEAUX}, got {count}")
-    if count * nvars > MAX_ENTRIES:
-        raise ExplicitSizeLimit(f"tableaux times variables limited to {MAX_ENTRIES}, "
-                                f"got {count * nvars}")
+    least, free = 1, nvars
+    for repeats in Counter(lam.parts).values():
+        least *= comb(free, repeats)
+        free -= repeats
+    if least * nvars <= MAX_STEPS:
+        gap = lam.part(0) - lam.part(1)
+        least = max(least, comb(gap + nvars - 1, min(gap, nvars - 1)))
+    _check_budget("Schur terms times variables", least * nvars)
+    return least
 
 
 def check_size(lam: Partition, nvars: int):
     """The part-count and rank guards of every n!-sized Schur computation."""
     _validate(lam, nvars)
     check_rank(nvars)
-
-
-def elementary_symmetric(k: int, nvars: int) -> SparsePoly:
-    """e_k(z_1, ..., z_nvars); zero outside 0 <= k <= nvars."""
-    if k < 0 or k > nvars:
-        return SparsePoly.zero(nvars)
-    terms = {}
-    for subset in combinations(range(nvars), k):
-        e = [0] * nvars
-        for i in subset:
-            e[i] = 1
-        terms[tuple(e)] = _ONE
-    return SparsePoly(nvars, terms)
 
 
 def monomial_symmetric(lam: Partition, nvars: int) -> SparsePoly:
@@ -163,6 +140,7 @@ def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     """Alternant det(z_c^(lam_r + nvars - r)) divided exactly by the
     Vandermonde prod_{i<j}(z_i - z_j)."""
     check_size(lam, nvars)
+    _check_terms(lam, nvars)
     shifted = tuple(lam.part(r) + nvars - 1 - r for r in range(nvars))
     return exact_quotient(alternant(shifted, nvars), vandermonde_factors(nvars))
 
@@ -174,6 +152,11 @@ def _interlacing(mu: tuple, k: int):
         while nu and not nu[-1]:
             nu = nu[:-1]
         yield nu
+
+
+def _interlacing_count(mu: tuple, k: int) -> int:
+    """How many nu ``_interlacing(mu, k)`` yields: a product of row gaps."""
+    return prod(hi - lo + 1 for lo, hi in zip(mu[1:] + (0,), mu[:k - 1]))
 
 
 def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:
@@ -191,81 +174,55 @@ def schur_tableaux(lam: Partition, nvars: int) -> SparsePoly:
     (a horizontal strip has at most one box per column, so no exponent
     exceeds lam_1), and adding z_k's exponent is one addition, not a copy
     of the vector.
+
+    A shape with one term, empty or nvars equal rows, is returned at once:
+    its nvars levels of one shape each are work the step budget would not
+    bound.  Every other shape has nvars >= 2.  Its steps are counted
+    against MAX_STEPS before each phase: the (mu, nu) pairs of a level
+    before they are listed, and the terms a level reads from s_nu, each
+    s_nu counted once per mu it interlaces, before they are read.  s_lam
+    reads each s_mu of the level below it once, and s_mu has at most as
+    many terms as it reads; so the last two levels count twice the reads
+    of level nvars - 1, and each s_mu of that level is folded into s_lam
+    as soon as it is built, never held with the others.
     """
     _validate(lam, nvars)
-    _check_tableaux(lam, nvars)
-    levels = [{lam.parts}]
+    if _check_terms(lam, nvars) == 1:
+        return SparsePoly(nvars, {lam.padded(nvars): 1})
+    steps = 0
+    levels = [Counter([lam.parts])]
     for k in range(nvars, 0, -1):
-        levels.append({nu for mu in levels[-1] for nu in _interlacing(mu, k)})
+        steps += sum(_interlacing_count(mu, k) for mu in levels[-1])
+        _check_budget("tableau-sum steps", steps)
+        levels.append(Counter(nu for mu in levels[-1] for nu in _interlacing(mu, k)))
+    levels.reverse()
     width = max(lam.part(0).bit_length(), 1)
+
+    def branch(mu, k, below):
+        """s_mu(z_1..z_k), packed, from s_nu(z_1..z_(k-1)) = below(nu)."""
+        shift, weight, terms = width * (k - 1), sum(mu), {}
+        for nu in _interlacing(mu, k):
+            last = weight - sum(nu) << shift
+            for key, c in below(nu).items():
+                terms[key + last] = terms.get(key + last, 0) + c
+        return terms
+
+    def reads(k):
+        return sum(parents * len(built[nu]) for nu, parents in levels[k - 1].items())
+
     built = {(): {0: 1}}
-    for k, shapes in enumerate(reversed(levels[:-1]), 1):
-        shift = width * (k - 1)
-        below, built = built, {}
-        for mu in shapes:
-            weight, terms = sum(mu), {}
-            for nu in _interlacing(mu, k):
-                last = weight - sum(nu) << shift
-                for key, c in below[nu].items():
-                    terms[key + last] = terms.get(key + last, 0) + c
-            built[mu] = terms
+    for k in range(1, nvars - 1):
+        steps += reads(k)
+        _check_budget("tableau-sum steps", steps)
+        built = {mu: branch(mu, k, built.__getitem__) for mu in levels[k]}
+    steps += 2 * reads(nvars - 1)
+    _check_budget("tableau-sum steps", steps)
+    top = branch(lam.parts, nvars, lambda mu: branch(mu, nvars - 1, built.__getitem__))
     mask = (1 << width) - 1
     shifts = range(0, width * nvars, width)
     return SparsePoly(nvars, {
-        tuple(key >> s & mask for s in shifts): c for key, c in built[lam.parts].items()
+        tuple(key >> s & mask for s in shifts): c for key, c in top.items()
     })
-
-
-def schur_from_elementary(lam: Partition, e_of: Callable[[int], SparsePoly], nvars: int) -> SparsePoly:
-    """Dual Jacobi-Trudi determinant det(E_{lam'_i - i + j}), size lam_1.
-
-    ``e_of(k)`` supplies the polynomial standing for e_k and must return
-    zero outside its valid range and one at k == 0.  Expansion is by
-    recursive minors memoized on the remaining column set.
-    """
-    size = lam.part(0)
-    check_depth(size, "Jacobi-Trudi columns")
-    if size == 0:
-        return SparsePoly.constant(nvars, 1)
-    conj = lam.conjugate().padded(size)
-    memo: dict = {}
-
-    def minor(cols):
-        if not cols:
-            return SparsePoly.constant(nvars, 1)
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = size - len(cols)
-        total = SparsePoly.zero(nvars)
-        for pos, col in enumerate(cols):
-            entry = e_of(conj[row] - row + col)
-            if not entry:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[cols] = total
-        return total
-
-    return minor(tuple(range(size)))
-
-
-def schur_dual_jacobi_trudi(lam: Partition, nvars: int) -> SparsePoly:
-    """Schur polynomial via the determinant in elementary symmetric
-    polynomials, refused where the tableau sum is."""
-    _validate(lam, nvars)
-    # the column guard of schur_from_elementary keeps its place before the size guards
-    check_depth(lam.part(0), "Jacobi-Trudi columns")
-    _check_tableaux(lam, nvars)
-    cache: dict = {}
-
-    def e_of(k: int) -> SparsePoly:
-        if k not in cache:
-            cache[k] = elementary_symmetric(k, nvars)
-        return cache[k]
-
-    return schur_from_elementary(lam, e_of, nvars)
 
 
 def schur_squared_args(mu: Partition, nvars: int) -> SparsePoly:

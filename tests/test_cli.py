@@ -10,7 +10,7 @@ import pytest
 from gysin.cli import main
 from gysin.partitions import Partition
 from gysin.poly import SparsePoly
-from gysin.schur import schur_dual_jacobi_trudi
+from schur_reference import schur_jacobi_trudi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,7 +41,7 @@ def test_schur_empty_partition(capsys):
     assert out == "1\n"
 
 
-@pytest.mark.parametrize("via", ["bialternant", "tableaux", "jacobi-trudi"])
+@pytest.mark.parametrize("via", ["bialternant", "tableaux"])
 def test_schur_constructions_agree(capsys, via):
     code, out, _ = run_cli(capsys, "schur", "--lambda", "3,1", "--n", "3", "--via", via)
     assert code == 0
@@ -68,30 +68,39 @@ def test_schur_tableaux_take_any_number_of_boxes(capsys):
         0, "z1^2000\n", "")
 
 
-@pytest.mark.parametrize("via, message", [
-    ("jacobi-trudi", "Jacobi-Trudi columns limited to 500, got 2000"),
-])
-def test_schur_recursion_guard_exits_2(capsys, via, message):
-    # the determinant recurses once per column: the longest accepted row
-    # works, a longer one is refused before any work
-    assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "500") == (
-        0, "z1^500\n", "")
-    assert run_cli(capsys, "schur", "--via", via, "--n", "1", "--lambda", "2000") == (
-        2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("via", ["tableaux", "jacobi-trudi"])
+@pytest.mark.parametrize("via", ["tableaux"])
 @pytest.mark.parametrize("n, lam, message", [
-    ("1000", "1,1", "got 499500000"),
+    ("1000", "1,1", "got at least 499500000"),
     ("1000000000", "1", "got at least 1000000000000000000"),
 ], ids=["count", "lower-bound"])
 def test_schur_many_variables_exits_2(capsys, via, n, lam, message):
-    # every term holds n exponents: 499,500 tableaux at n = 1000 are under
-    # the tableau guard but not under tableaux times variables, and at
-    # n = 10^9 a lower bound on the count refuses before lam is padded
+    # every term holds n exponents, and s_lambda has at least as many terms
+    # as lambda padded to n parts has distinct permutations: 499,500 at
+    # n = 1000 and 10^9 at n = 10^9, counted without padding lambda
     start = time.perf_counter()
     assert run_cli(capsys, "schur", "--via", via, "--n", n, "--lambda", lam) == (
-        2, "", f"error: tableaux times variables limited to 33554432, {message}\n")
+        2, "", f"error: Schur terms times variables limited to 67108864, {message}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_schur_tableaux_one_term_in_many_variables(capsys):
+    # s_() has one term however many variables; its n levels of one shape
+    # each are not walked, so a million variables take no per-level work
+    start = time.perf_counter()
+    assert run_cli(capsys, "schur", "--via", "tableaux", "--n", "1000000", "--lambda", "0") == (
+        0, "1\n", "")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("via", ["bialternant", "tableaux"])
+def test_schur_long_first_row_exits_2(capsys, via):
+    # s_(1000) in 8 variables has C(1007, 7) terms: the monomials of degree
+    # 1000 are all dominated by (1000), and both constructions count them
+    # before any work
+    start = time.perf_counter()
+    assert run_cli(capsys, "schur", "--via", via, "--n", "8", "--lambda", "1000") == (
+        2, "", "error: Schur terms times variables limited to 67108864, "
+               "got at least 1632260264733563608\n")
     assert time.perf_counter() - start < 1
 
 
@@ -218,10 +227,24 @@ def test_pushforward_rank_7_gives_s21_at_squares(capsys):
     # 5040 terms, so rank 7 answers in about a second
     code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "7",
                              "--lambda", "11,8,5,4,3,2,1")
-    value = schur_dual_jacobi_trudi(Partition([2, 1]), 7).square_variables()
+    value = schur_jacobi_trudi(Partition([2, 1]), 7).square_variables()
     assert (code, err) == (0, "")
     assert out == (f"space: lg(7)\nlambda: 11,8,5,4,3,2,1\nmethod: residue\n"
                    f"value: {value.render('t')}\nmu: 2,1\nconstant: 1\n")
+
+
+def test_pushforward_closed_form_builds_a_shape_of_four_million_tableaux(capsys):
+    # mu = (12,6,2) has 4,284,000 tableaux in 6 variables but takes only
+    # 2,492,263 counted tableau-sum steps; the digest of the value's records was
+    # taken from a --method all run in which all three methods agreed
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "6", "--lambda",
+                             "30,17,8,3,2,1", "--method", "closed", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["mu"], payload["constant"]) == ([12, 6, 2], "1")
+    records = json.dumps(payload["value"]["terms"], separators=(",", ":"))
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "0b336071a18b4ee277c60c1f240b4ee9181ab21d3224a45e9bb05bd4afc92336")
 
 
 HUGE = ["pushforward", "--space", "lg", "--n", "1", "--lambda", "99999999999999999999"]
@@ -247,11 +270,13 @@ def test_pushforward_huge_exponent_oracle_exits_2(capsys, method):
 @pytest.mark.parametrize("method", ["residue", "closed", "all"])
 def test_pushforward_huge_first_part_exits_2(capsys, method):
     # mu = (5*10^19, 0): s_mu(t^2) has 5*10^19 + 1 terms; the closed form,
-    # which each of these methods builds first, counts its tableaux by
-    # Weyl's formula and refuses before any work
+    # which each of these methods builds first, counts them before any work
+    start = time.perf_counter()
     assert run_cli(capsys, "pushforward", "--space", "lg", "--n", "2", "--lambda",
                    "100000000000000000002,1", "--method", method) == (
-        2, "", "error: semistandard tableaux limited to 4194304, got 50000000000000000001\n")
+        2, "", "error: Schur terms times variables limited to 67108864, "
+               "got at least 100000000000000000002\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_pushforward_huge_first_part_abbv_exits_2(capsys):

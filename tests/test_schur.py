@@ -1,19 +1,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from gysin import schur
 from gysin.errors import ExplicitSizeLimit, InvalidPartition
 from gysin.partitions import Partition, enumerate_ssyt, partitions_up_to_weight
 from gysin.poly import SparsePoly
 from gysin.schur import (
-    elementary_symmetric,
     monomial_symmetric,
     schur_bialternant,
-    schur_dual_jacobi_trudi,
-    schur_from_elementary,
     schur_squared_args,
     schur_tableaux,
-    tableau_count,
     vandermonde_factors,
+)
+from schur_reference import (
+    elementary_symmetric,
+    schur_from_elementary,
+    schur_jacobi_trudi,
+    tableau_count,
 )
 
 z1 = SparsePoly.variable(2, 0)
@@ -60,10 +63,10 @@ def test_tableaux_examples():
 
 
 def test_dual_jacobi_trudi_examples():
-    assert schur_dual_jacobi_trudi(Partition([1]), 2) == z1 + z2
-    assert schur_dual_jacobi_trudi(Partition([1, 1]), 2) == z1 * z2
+    assert schur_jacobi_trudi(Partition([1]), 2) == z1 + z2
+    assert schur_jacobi_trudi(Partition([1, 1]), 2) == z1 * z2
     # det [[e2, e3], [1, e1]] with e3 = 0 for two variables
-    assert schur_dual_jacobi_trudi(Partition([2, 1]), 2) == z1 ** 2 * z2 + z1 * z2 ** 2
+    assert schur_jacobi_trudi(Partition([2, 1]), 2) == z1 ** 2 * z2 + z1 * z2 ** 2
 
 
 def test_squared_args_examples():
@@ -82,10 +85,42 @@ def test_partition_must_fit():
 def test_size_guard():
     with pytest.raises(ExplicitSizeLimit):
         schur_bialternant(Partition([1]), 9)
-    # 234,881,024 tableaux, counted by Weyl's formula before any work
-    with pytest.raises(ExplicitSizeLimit, match="^semistandard tableaux limited to 4194304, "
-                                                "got 234881024$"):
-        schur_tableaux(Partition([11, 8, 5, 4, 3, 2, 1]), 7)
+    # s_(1000) in 8 variables has at least C(1007, 7) terms, counted before
+    # any work by both constructions
+    for build in (schur_bialternant, schur_tableaux):
+        with pytest.raises(ExplicitSizeLimit, match="^Schur terms times variables limited to "
+                                                    "67108864, got at least 1632260264733563608$"):
+            build(Partition([1000]), 8)
+
+
+def test_tableau_steps_are_checked_before_each_phase(monkeypatch):
+    # s_(20,10) in 3 variables: 121, 1331 and 21 (mu, nu) pairs listed from
+    # the top, then 21 terms read at level 1 and twice the 1331 read at
+    # level 2, 4156 steps in all; a budget one step short of a phase's
+    # running total refuses before that phase starts
+    lam = Partition([20, 10])
+    monkeypatch.setattr(schur, "MAX_STEPS", 4156)
+    assert schur_tableaux(lam, 3) == schur_bialternant(lam, 3)
+    for total in (1452, 1473, 1494, 4156):
+        monkeypatch.setattr(schur, "MAX_STEPS", total - 1)
+        with pytest.raises(ExplicitSizeLimit, match="^tableau-sum steps limited to "
+                                                    f"{total - 1}, got at least {total}$"):
+            schur_tableaux(lam, 3)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 12), max_size=n))))
+def test_tableau_steps_stay_within_twice_n_times_the_tableaux(case):
+    # each level lists at most T pairs and reads at most T terms, so a
+    # budget of 2*n*T steps never refuses; the up-front count of terms is
+    # a lower bound
+    nvars, parts = case
+    lam = Partition(sorted(parts, reverse=True))
+    value = schur_bialternant(lam, nvars)
+    assert schur._check_terms(lam, nvars) <= value.num_terms()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schur, "MAX_STEPS", 2 * nvars * tableau_count(lam, nvars))
+        assert schur_tableaux(lam, nvars) == value
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -93,7 +128,7 @@ def test_triple_equality_small(nvars):
     for lam in partitions_up_to_weight(nvars, 6):
         b = schur_bialternant(lam, nvars)
         assert b == schur_tableaux(lam, nvars)
-        assert b == schur_dual_jacobi_trudi(lam, nvars)
+        assert b == schur_jacobi_trudi(lam, nvars)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
