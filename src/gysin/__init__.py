@@ -59,7 +59,6 @@ from .schur import (
     schur_bialternant,
     schur_squared_args,
     schur_tableaux,
-    vandermonde_factors,
 )
 from .spaces import Space, SpaceKind, lg, og_even, og_odd
 from .verification import run_verification, table_rows
@@ -109,6 +108,5 @@ __all__ = [
     "schur_tableaux",
     "seeded_points",
     "table_rows",
-    "vandermonde_factors",
     "__version__",
 ]

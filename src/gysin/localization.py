@@ -17,11 +17,13 @@ expanded.  At a point, each term is scaled to an integer over a common
 power of the point's denominator.  A term changes sign at a mask sharing
 an odd number of bits with its parity mask (the variables with odd
 exponents), so the terms are totalled per parity mask and one
-Walsh-Hadamard transform gives the signed total at every mask.  Each
-total is divided by that mask's integer Euler numerator, times its
-Vandermonde numerator for a Schur class, and the quotients are added over
-their least common multiple.  Before any power is taken, powers of more
-than MAX_POWER_BITS bits are refused.
+Walsh-Hadamard transform gives the signed total at every mask.  For a
+general class, each total is divided by that mask's integer Euler
+numerator, and the quotients are added over their least common multiple.
+For a Schur class, the Euler numerator times the Vandermonde numerator is
+the same product D at every mask, up to a sign sigma(m), so the totals
+times sigma(m) are added and divided by D once.  Before any power is
+taken, powers of more than MAX_POWER_BITS bits are refused.
 
 The point-independent part of the terms (coefficients, degree deficits,
 exponent columns, parity masks) is built once per class and shared by
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import lcm, prod
 
 from .errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from .partitions import Partition
@@ -167,17 +169,6 @@ def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
     return result
 
 
-def _vandermonde_numerator(negatives: int, at: GenericPoint) -> int:
-    """prod_{i<j} (x_i - x_j) times ``at.scale ** (n(n-1)/2)`` at the sign
-    vector whose negative entries are the set bits of ``negatives``."""
-    signed = _signed_numerators(negatives, at)
-    result = 1
-    for i, x in enumerate(signed):
-        for y in signed[i + 1:]:
-            result *= x - y
-    return result
-
-
 def _point_free_terms(terms: dict, denominator: int, pairs: int) -> tuple:
     """What no parameter point changes in the class ``terms`` (exponents ->
     integer coefficient) over ``denominator``, divided by the Vandermonde
@@ -270,6 +261,24 @@ def _at_sign_masks(values: list, masks: list, n: int) -> list:
     return signed
 
 
+def _over_vandermonde(signed: list, space: Space, at: GenericPoint) -> Fraction:
+    """The sum over the sign masks m of signed[m] / (E(m) * V(m)), with E(m)
+    the Euler numerator and V(m) = prod_{i<j}(x_i - x_j) at the point's
+    integer numerators x, negated on the bits of m.
+
+    E(m) * V(m) = sigma(m) * D at every mask: D = prod_{i<j}(x_i^2 - x_j^2),
+    times prod 2*x_i on lg and prod x_i on og-odd, and sigma(m) is
+    (-1)^(bits of m) on those two spaces, +1 on og-even.  So the sum has
+    one denominator.
+    """
+    x = at.numerators
+    common = prod(a * a - b * b for i, a in enumerate(x) for b in x[i + 1:])
+    if space.kind is SpaceKind.ORTHOGONAL_EVEN:
+        return Fraction(sum(signed), common)
+    common *= prod(2 * a for a in x) if space.kind is SpaceKind.LAGRANGIAN else prod(x)
+    return Fraction(sum(-v if bin(m).count("1") & 1 else v for m, v in enumerate(signed)), common)
+
+
 def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
     if len(at) != space.n:
         raise VariableCountMismatch(f"point has {len(at)} coordinates, space rank is {space.n}")
@@ -280,10 +289,12 @@ def _sum_at(terms: tuple, space: Space, at: GenericPoint) -> Fraction:
     scale = at.scale
     values = _term_values(coeffs, columns, (*at.numerators, scale))
     signed = _at_sign_masks(values, masks, space.n)
-    divisors = [_euler_numerator(space, m, at) * (_vandermonde_numerator(m, at) if pairs else 1)
-                for m in range(1 << space.n)]
-    common = lcm(*divisors)
-    total = Fraction(sum(v * (common // d) for v, d in zip(signed, divisors)), common)
+    if pairs:
+        total = _over_vandermonde(signed, space, at)
+    else:
+        divisors = [_euler_numerator(space, m, at) for m in range(1 << space.n)]
+        common = lcm(*divisors)
+        total = Fraction(sum(v * (common // d) for v, d in zip(signed, divisors)), common)
     total *= Fraction(scale ** (space.dimension + pairs), denominator * scale ** max_degree)
     return total / 2 if space.kind is SpaceKind.ORTHOGONAL_EVEN else total
 

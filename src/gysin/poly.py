@@ -12,24 +12,24 @@ polynomials is equality of their term maps.  Negative exponents are
 rejected on construction: the residue engine only ever extracts
 coefficients of ordinary polynomials.
 
-The canonical term order used for rendering, serialization and division
-is descending lexicographic on the exponent tuples.
+The canonical term order used for rendering and serialization is
+descending lexicographic on the exponent tuples.
 
-The division kernel works on integers and the API on ``Fraction``:
-``exact_quotient`` scales the dividend and each divisor once to a common
-denominator, divides with ``divmod`` (a ``Fraction`` appears only where a
-leading coefficient other than +-1 leaves a remainder) and converts the
-quotient back once per chain of divisors.  Every coefficient that
-``terms``, ``coefficient``, ``leading_term`` and ``sorted_terms`` return
-is a ``Fraction``.
+Every divisor the program uses is the Vandermonde prod_{i<j}(x_i - x_j),
+in the variables or in their squares.  ``vandermonde_quotient`` divides
+integer terms by it one difference at a time: the quotient by x_i - x_j
+is a prefix sum over groups of terms, with no heap and no leading-term
+search, and the one ``Fraction`` scale is applied at the end.  Every
+coefficient that ``terms``, ``coefficient``, ``leading_term`` and
+``sorted_terms`` return is a ``Fraction``.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from operator import add, neg, sub
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InexactDivision, VariableCountMismatch
@@ -40,10 +40,6 @@ _ONE = Fraction(1)
 
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _negated(exps):
-    return tuple(map(neg, exps))
 
 
 def _check_exponents(e: tuple, nvars: int):
@@ -365,63 +361,66 @@ class SparsePoly:
         return "".join(chunks)
 
 
-def exact_quotient(dividend: SparsePoly, divisors) -> SparsePoly:
-    """dividend / (d_1 * d_2 * ...), dividing by one divisor after another.
+def vandermonde_quotient(terms: Mapping, scale, nvars: int, squared: bool = False) -> SparsePoly:
+    """scale * sum(c * x^e) over the integer ``terms`` (exponents -> c),
+    divided exactly by the Vandermonde prod_{i<j}(x_i - x_j), or by
+    prod_{i<j}(x_i^2 - x_j^2) when ``squared``.
 
-    Raises :class:`InexactDivision` as soon as one division is not exact.
-    The chain runs on integer coefficients: each polynomial is scaled once
-    to a common denominator, and the quotient becomes ``Fraction`` once,
-    at the end.
+    Raises :class:`InexactDivision` when the quotient is not a polynomial.
     """
-    divisors = list(divisors)
-    for divisor in divisors:
-        if not isinstance(divisor, SparsePoly) or divisor.nvars != dividend.nvars:
-            raise VariableCountMismatch("divisor has a different variable count")
-        if not divisor._terms:
-            raise ZeroDivisionError("division by the zero polynomial")
-    terms, den = dividend.integer_terms()
-    scale = Fraction(1, den)
-    for divisor in divisors:
-        divisor_terms, divisor_den = divisor.integer_terms()
-        terms = _divide_terms(terms, divisor_terms)
-        scale *= divisor_den
-    return SparsePoly._raw(dividend.nvars, {e: c * scale for e, c in terms.items()})
+    half = 1 if squared else 0
+    columns = [set(column) for column in zip(*terms)]
+    top = max(map(max, columns), default=0) >> half
+    # An exponent vector is packed into one integer, a field of ``width``
+    # bits per variable, wide enough for the sum of two exponents; when
+    # squared, the fields hold the halved exponents and their parities
+    # sit above the fields.
+    width = max((2 * top).bit_length(), 1)
+    shifts = range(0, width * nvars, width)
+    low = width * nvars
+    fields = [{k: (k >> half) << s | (k & half) << (low + v) for k in column}
+              for v, (s, column) in enumerate(zip(shifts, columns))]
+    packed = {sum(map(getitem, fields, e)): c for e, c in terms.items() if c}
+    mask = (1 << width) - 1
+    # all the differences x_i - x_j of one i before those of the next: at
+    # rank 8 this handles half the terms that ordering by j does
+    for i, si in enumerate(shifts):
+        for sj in shifts[i + 1:]:
+            packed = _divide_difference(packed, si, sj, mask)
+    scale = _as_fraction(scale)
+    return SparsePoly._raw(nvars, {
+        tuple((key >> s & mask) << half | key >> (low + v) & half for v, s in enumerate(shifts)):
+        c * scale
+        for key, c in packed.items()
+    })
 
 
-def _divide_terms(dividend: dict, divisor: dict) -> dict:
-    # Leading-term elimination on term maps with integer coefficients.  A
-    # quotient coefficient stays an int while the divisor's leading
-    # coefficient divides it and becomes a Fraction where it does not.
-    lead = max(divisor)
-    lead_c = divisor[lead]
-    tail = [(e, c) for e, c in divisor.items() if e != lead]
-    rem = dict(dividend)
-    heap = [_negated(e) for e in rem]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+def _divide_difference(packed: dict, si: int, sj: int, mask: int) -> dict:
+    # Exact division by x_i - x_j of packed terms, whose fields for x_i and
+    # x_j start at bits si < sj.  Multiplying by x_i - x_j keeps every other
+    # exponent and a_i + a_j, so the terms split into groups on those: the
+    # keys base + a_j * step.  In a group, sorted by a_j, the quotient's
+    # coefficient at a_j = k is the prefix sum of the coefficients at
+    # a_j <= k, and the division is exact iff the whole group sums to zero.
+    # The quotient's key at a_j = k, with a_i = a_i + a_j - 1 - k, is
+    # base + k * step - (1 << si).
+    step = (1 << sj) - (1 << si)
+    groups = defaultdict(list)
+    for key in packed:
+        groups[key - (key >> sj & mask) * step].append(key)
+    low = 1 << si
     out: dict = {}
-    while rem:
-        exps = _negated(pop(heap))
-        c = rem.pop(exps, None)
-        if c is None:
-            continue  # stale heap entry
-        q_exps = tuple(map(sub, exps, lead))
-        if min(q_exps, default=0) < 0:
-            raise InexactDivision(f"leading term with exponents {exps} is not divisible")
-        q_c, r = divmod(c, lead_c)
-        if r:
-            q_c = Fraction(c, lead_c)
-        out[q_exps] = q_c
-        for e, dc in tail:
-            ke = tuple(map(add, q_exps, e))
-            v = rem.get(ke)
-            if v is None:
-                rem[ke] = -q_c * dc
-                push(heap, _negated(ke))
-            else:
-                v = v - q_c * dc
-                if v:
-                    rem[ke] = v
+    for column in groups.values():
+        column.sort()
+        total = 0
+        for key in column:
+            if total:
+                if key - last == step:
+                    out[last - low] = total
                 else:
-                    del rem[ke]
+                    out.update(dict.fromkeys(range(last - low, key - low, step), total))
+            total += packed[key]
+            last = key
+        if total:
+            raise InexactDivision("the dividend is not divisible by the Vandermonde")
     return out

@@ -7,7 +7,9 @@ the numerator (the class times the antisymmetrizing product
 prod_{i<j}(z_j - z_i) and the space prefactor): a term a * z^k
 contributes a * t^(k-1) when every component of k is odd and nothing
 otherwise, and the collected contributions are divided exactly by
-prod_{i<j}(t_j^2 - t_i^2).
+prod_{i<j}(t_j^2 - t_i^2).  The straightened numerators below take the
+Vandermonde as prod_{i<j}(z_i - z_j) and divide by prod_{i<j}(t_i^2 - t_j^2),
+which drops the sign (-1)^(n(n-1)/2) from both.
 
 For a symmetric class V, W is antisymmetric, so its all-odd part is a sum
 of alternants over strictly decreasing exponent vectors, straightened from
@@ -33,15 +35,8 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, NotSymmetric, VariableCountMismatch
 from .partitions import Partition, decompose
-from .poly import SparsePoly, exact_quotient
-from .schur import (
-    alternant,
-    check_rank,
-    check_size,
-    permutation_sign,
-    schur_squared_args,
-    vandermonde_factors,
-)
+from .poly import SparsePoly, vandermonde_quotient
+from .schur import alternant, check_rank, check_size, permutation_sign, schur_squared_args
 from .spaces import Space
 
 
@@ -88,19 +83,20 @@ def _check_numerator(p: SparsePoly, space: Space):
     check_rank(space.n)
 
 
-def _divide(numerator: SparsePoly) -> SparsePoly:
-    # exact division by prod_{i<j}(t_j^2 - t_i^2)
-    factors = vandermonde_factors(numerator.nvars, reverse=True, squared=True)
-    return exact_quotient(numerator, factors)
+def _divide(terms: dict, scale: Fraction, n: int) -> SparsePoly:
+    # exact division of scale * terms by prod_{i<j}(t_i^2 - t_j^2)
+    return vandermonde_quotient(terms, scale, n, squared=True)
 
 
 def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
-    # a * z^k with all k odd -> a * t^(k-1), then the exact division
-    shifted = {
+    # a * z^k with all k odd -> a * t^(k-1), then the exact division by
+    # prod_{i<j}(t_j^2 - t_i^2), the reverse of _divide's
+    shifted = SparsePoly(n, {
         tuple(k - 1 for k in exps): coeff
         for exps, coeff in W.extract_odd_terms().items()
-    }
-    return _divide(SparsePoly(n, shifted))
+    })
+    terms, den = shifted.integer_terms()
+    return _divide(terms, Fraction((-1) ** (n * (n - 1) // 2), den), n)
 
 
 def _numerator_shift(space: Space) -> tuple:
@@ -111,25 +107,25 @@ def _numerator_shift(space: Space) -> tuple:
     return [n - 2 - i + k for i, k in enumerate(p)], constant
 
 
-def _alternant_sum(coeffs: dict, scale: Fraction, n: int) -> SparsePoly:
-    """(-1)^(n(n-1)/2) * scale * sum of c_gamma * alternant(gamma) over the
-    strictly decreasing gamma; the reversed Vandermonde brings the sign."""
-    scale = (-1) ** (n * (n - 1) // 2) * scale
-    return SparsePoly(n, {
-        k: sign * b * scale
+def _alternant_sum(coeffs: dict, n: int) -> dict:
+    """The integer terms of the sum of c_gamma * alternant(gamma) over the
+    strictly decreasing gamma; alternants of distinct gamma share no term."""
+    return {
+        k: sign * b
         for gamma, b in coeffs.items() if b
-        for k, sign in alternant(gamma, n).terms().items()
-    })
+        for k, sign in alternant(gamma, n).items()
+    }
 
 
-def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
-    """The all-odd terms a * z^k of V * prod_{i<j}(z_j - z_i) * prefactor,
-    already shifted to a * t^(k-1), as a sum of alternants.
+def _straightened_numerator(V: SparsePoly, space: Space) -> tuple:
+    """(terms, scale): the all-odd terms a * z^k of
+    V * prod_{i<j}(z_i - z_j) * prefactor, already shifted to a * t^(k-1),
+    as scale times a sum of alternants with integer coefficients.
 
     With the prefactor c * z^p and delta = (n-1, ..., 0), a term b * z^e of
-    the symmetric V contributes (-1)^(n(n-1)/2) * c * b * sign(sort) *
-    alternant(gamma) when f = e + delta + p - 1 has even, distinct entries,
-    gamma being f sorted decreasingly, and nothing otherwise.
+    the symmetric V contributes c * b * sign(sort) * alternant(gamma) when
+    f = e + delta + p - 1 has even, distinct entries, gamma being f sorted
+    decreasingly, and nothing otherwise.
     """
     n = space.n
     shift, constant = _numerator_shift(space)
@@ -142,7 +138,7 @@ def _straightened_numerator(V: SparsePoly, space: Space) -> SparsePoly:
         order = sorted(range(n), key=f.__getitem__, reverse=True)
         gamma = tuple(f[i] for i in order)
         coeffs[gamma] = coeffs.get(gamma, 0) + permutation_sign(order) * b
-    return _alternant_sum(coeffs, constant / den, n)
+    return _alternant_sum(coeffs, n), constant / den
 
 
 def schur_residue(lam: Partition, space: Space) -> SparsePoly:
@@ -151,8 +147,7 @@ def schur_residue(lam: Partition, space: Space) -> SparsePoly:
     s_lam * prod_{i<j}(z_i - z_j) is the alternant of lam + delta, and the
     prefactor's z^p adds p to every exponent, so the numerator is the one
     alternant of gamma = lam + delta + p - 1: zero when an entry of gamma
-    is odd, else (-1)^(n(n-1)/2) * c * alternant(gamma), divided as for
-    any class.
+    is odd, else c * alternant(gamma), divided as for any class.
     """
     n = space.n
     check_size(lam, n)
@@ -160,7 +155,7 @@ def schur_residue(lam: Partition, space: Space) -> SparsePoly:
     gamma = tuple(lam.part(i) + s for i, s in enumerate(shift))
     if any(k & 1 for k in gamma):
         return SparsePoly.zero(n)
-    return _divide(_alternant_sum({gamma: 1}, constant, n))
+    return _divide(_alternant_sum({gamma: 1}, n), constant, n)
 
 
 def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
@@ -182,7 +177,7 @@ def pushforward_symmetric(V: SparsePoly, space: Space) -> SparsePoly:
     _check_numerator(V, space)
     if not V.is_symmetric():
         raise NotSymmetric("push-forward input must be a symmetric polynomial")
-    return _divide(_straightened_numerator(V, space))
+    return _divide(*_straightened_numerator(V, space), space.n)
 
 
 def closed_form(lam: Partition, space: Space) -> PushforwardResult:

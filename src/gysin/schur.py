@@ -27,7 +27,7 @@ from math import comb, prod
 
 from .errors import ExplicitSizeLimit, InvalidPartition
 from .partitions import Partition
-from .poly import SparsePoly, exact_quotient
+from .poly import SparsePoly, vandermonde_quotient
 
 # The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
 # refuse larger ranks.
@@ -96,25 +96,6 @@ def monomial_symmetric(lam: Partition, nvars: int) -> SparsePoly:
     return SparsePoly(nvars, {e: _ONE for e in set(permutations(base))})
 
 
-def vandermonde_factors(nvars: int, *, reverse=False, squared=False) -> list:
-    """Binomial factors (z_i - z_j) over pairs i < j.
-
-    ``reverse`` flips each difference to (z_j - z_i); ``squared`` replaces
-    the variables by their squares.
-    """
-    step = 2 if squared else 1
-    out = []
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            lead, trail = (j, i) if reverse else (i, j)
-            e_lead = [0] * nvars
-            e_lead[lead] = step
-            e_trail = [0] * nvars
-            e_trail[trail] = step
-            out.append(SparsePoly(nvars, {tuple(e_lead): 1, tuple(e_trail): -1}))
-    return out
-
-
 def permutation_sign(perm) -> int:
     """(-1)^(number of inversions) of a sequence of distinct values."""
     sign = 1
@@ -125,15 +106,19 @@ def permutation_sign(perm) -> int:
     return sign
 
 
-def alternant(exponents, nvars: int) -> SparsePoly:
-    """det(z_c^(exponents_r)): signed sum over all permutations, zero when
-    an exponent repeats."""
+def alternant(exponents, nvars: int) -> dict:
+    """det(z_c^(exponents_r)) as integer terms (exponents -> +-1): a signed
+    sum over all permutations, empty when an exponent repeats."""
     if len(exponents) != nvars:
         raise InvalidPartition(f"need {nvars} exponents, got {len(exponents)}")
     if len(set(exponents)) < nvars:
-        return SparsePoly.zero(nvars)
-    return SparsePoly(nvars, dict(zip(permutations(exponents),
-                                      map(permutation_sign, permutations(range(nvars))))))
+        return {}
+    # permutations() runs in lexicographic order, and a permutation of
+    # range(m) starting with f has f inversions more than its tail
+    signs = [1]
+    for m in range(2, nvars + 1):
+        signs = [-s if f & 1 else s for f in range(m) for s in signs]
+    return dict(zip(permutations(exponents), signs))
 
 
 def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
@@ -142,7 +127,7 @@ def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     check_size(lam, nvars)
     _check_terms(lam, nvars)
     shifted = tuple(lam.part(r) + nvars - 1 - r for r in range(nvars))
-    return exact_quotient(alternant(shifted, nvars), vandermonde_factors(nvars))
+    return vandermonde_quotient(alternant(shifted, nvars), 1, nvars)
 
 
 def _interlacing(mu: tuple, k: int):

@@ -233,6 +233,20 @@ def test_pushforward_rank_7_gives_s21_at_squares(capsys):
                    f"value: {value.render('t')}\nmu: 2,1\nconstant: 1\n")
 
 
+@pytest.mark.parametrize("space, constant", [("lg", "1"), ("og-odd", "256")])
+def test_pushforward_rank_8_all_methods_agree(capsys, space, constant):
+    # lambda = 2*(2,1) + rho(8): the residue divides an alternant of 40,320
+    # terms by the 28 binomials of the squared Vandermonde, and the oracle
+    # sums a 40,320-term determinant over 256 sign masks at three points
+    code, out, err = run_cli(capsys, "pushforward", "--space", space, "--n", "8",
+                             "--lambda", "12,9,6,5,4,3,2,1", "--method", "all")
+    assert (code, err) == (0, "")
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["residue"] == lines["closed"] == lines["value"]
+    assert (lines["mu"], lines["constant"]) == ("2,1", constant)
+    assert (lines["oracle-points"], lines["agreement"]) == ("3", "ok")
+
+
 def test_pushforward_closed_form_builds_a_shape_of_four_million_tableaux(capsys):
     # mu = (12,6,2) has 4,284,000 tableaux in 6 variables but takes only
     # 2,492,263 counted tableau-sum steps; the digest of the value's records was

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
+from gysin import localization
 from gysin.errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from gysin.localization import (
     MAX_POWER_BITS,
@@ -105,6 +106,39 @@ def test_euler_factor_equals_product_formula(space_factory, n, seed):
         if space.kind is SpaceKind.ORTHOGONAL_ODD:
             expected *= prod(x)
         assert euler_factor(space, fp, point) == expected
+
+
+@pytest.mark.parametrize("space_factory", [lg, og_even, og_odd])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_euler_factor_times_vandermonde_is_one_product_up_to_sign(space_factory, n):
+    # E(m) * prod_{i<j}(x_i - x_j) == sigma(m) * D at every sign vector:
+    # D = prod_{i<j}(t_i^2 - t_j^2), times prod 2*t_i on lg and prod t_i on
+    # og-odd, sigma(m) = prod eps_i on lg and og-odd, +1 on og-even.  So a
+    # Schur class's fixed-point sum divides once per point.
+    space = space_factory(n)
+    point = seeded_points(n, 1, seed=n)[0]
+    t = point.values
+    D = prod((t[i] ** 2 - t[j] ** 2 for i in range(n) for j in range(i + 1, n)),
+             start=Fraction(1))
+    if space.kind is SpaceKind.LAGRANGIAN:
+        D *= prod(2 * v for v in t)
+    elif space.kind is SpaceKind.ORTHOGONAL_ODD:
+        D *= prod(t)
+    pairs = n * (n - 1) // 2
+    signed = [(-1) ** m * (3 * m + 1) for m in range(1 << n)]
+    expected = Fraction(0)
+    for fp in fixed_points(space):
+        x = [s * v for s, v in zip(fp.signs, t)]
+        vandermonde = prod(x[i] - x[j] for i in range(n) for j in range(i + 1, n))
+        sigma = 1 if space.kind is SpaceKind.ORTHOGONAL_EVEN else prod(fp.signs)
+        assert euler_factor(space, fp, point) * vandermonde == sigma * D
+        mask = sum(1 << i for i, s in enumerate(fp.signs) if s < 0)
+        scaled = euler_factor(space, fp, point) * vandermonde * point.scale ** (
+            space.dimension + pairs)
+        expected += signed[mask] / scaled
+    # the sum over integer numerators divides once and agrees with the
+    # sum of the per-mask quotients
+    assert localization._over_vandermonde(signed, space, point) == expected
 
 
 def test_reciprocal_euler_factors_sum_to_zero():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gysin.errors import InexactDivision, VariableCountMismatch
-from gysin.poly import SparsePoly
+from gysin.poly import SparsePoly, vandermonde_quotient
+
+from division_reference import exact_div, exact_quotient, vandermonde_factors
 
 
 def P(nvars, terms):
@@ -92,36 +94,36 @@ def test_mul_mismatched_nvars():
 # -- exact_div ----------------------------------------------------------
 
 def test_exact_div_linear():
-    assert (z2 ** 2 - z1 ** 2).exact_div(z2 - z1) == z1 + z2
+    assert exact_div(z2 ** 2 - z1 ** 2, z2 - z1) == z1 + z2
 
 
 def test_exact_div_derived_example():
     # (z1^2*z2 + z1*z2^2)(z1 - z2) expands to z1^3*z2 - z1*z2^3
     quotient = z1 ** 2 * z2 + z1 * z2 ** 2
-    assert (z1 ** 3 * z2 - z1 * z2 ** 3).exact_div(z1 - z2) == quotient
+    assert exact_div(z1 ** 3 * z2 - z1 * z2 ** 3, z1 - z2) == quotient
 
 
 def test_exact_div_inexact_raises():
     with pytest.raises(InexactDivision):
-        (z1 + 1).exact_div(z2)
+        exact_div(z1 + 1, z2)
 
 
 def test_exact_div_by_zero():
     with pytest.raises(ZeroDivisionError):
-        z1.exact_div(SparsePoly.zero(2))
+        exact_div(z1, SparsePoly.zero(2))
 
 
 def test_exact_div_rejects_laurent_input():
     # a Laurent dividend cannot be built, so division never sees one
     with pytest.raises(ValueError):
-        P(2, {(-1, 0): 1}).exact_div(z1)
+        exact_div(P(2, {(-1, 0): 1}), z1)
 
 
 @given(polys(2, max_exp=3), polys(2, max_exp=3))
 def test_exact_div_roundtrip(q, d):
     if not d:
         return
-    assert (q * d).exact_div(d) == q
+    assert exact_div(q * d, d) == q
 
 
 def non_unit_leading(p):
@@ -135,14 +137,55 @@ def non_constant(p):
 @given(polys(3, max_exp=2), polys(3, max_exp=2, max_terms=3).filter(bool)
        .filter(non_unit_leading).filter(non_constant), coefficients)
 def test_exact_div_integer_kernel_with_rational_divisor(q, d, c):
-    # the kernel divides integers; a leading coefficient other than +-1
+    # the reference divides integers; a leading coefficient other than +-1
     # takes the Fraction fallback, and the API still returns Fractions
-    quotient = (q * d).exact_div(d)
+    quotient = exact_div(q * d, d)
     assert quotient == q
     assert all(type(v) is Fraction for v in quotient.terms().values())
     # d has positive degree, so it does not divide q*d plus a constant
     with pytest.raises(InexactDivision):
-        (q * d + c).exact_div(d)
+        exact_div(q * d + c, d)
+
+
+# -- vandermonde_quotient -----------------------------------------------
+
+def vandermonde_multiples(min_n=1):
+    """(n, q): a rank up to 4 and a rational polynomial q in n variables."""
+    return st.integers(min_n, 4).flatmap(lambda n: st.tuples(st.just(n), polys(n, max_exp=3)))
+
+
+def times_vandermonde(q, n, **form):
+    W = q
+    for factor in vandermonde_factors(n, **form):
+        W = W * factor
+    return W
+
+
+@given(vandermonde_multiples(), st.booleans(), st.booleans())
+def test_vandermonde_quotient_matches_the_heap_division(case, reverse, squared):
+    # the prefix-sum kernel against leading-term elimination by each binomial;
+    # the reversed product is the plain one times (-1)^(n(n-1)/2)
+    n, q = case
+    W = times_vandermonde(q, n, reverse=reverse, squared=squared)
+    terms, den = W.integer_terms()
+    sign = -1 if reverse and n * (n - 1) // 2 % 2 else 1
+    quotient = vandermonde_quotient(terms, Fraction(sign, den), n, squared)
+    factors = vandermonde_factors(n, reverse=reverse, squared=squared)
+    assert quotient == exact_quotient(W, factors) == q
+    assert all(type(v) is Fraction for v in quotient.terms().values())
+
+
+@given(vandermonde_multiples(min_n=2), st.booleans(), st.data())
+def test_vandermonde_quotient_refuses_a_changed_coefficient(case, squared, data):
+    # a multiple of the Vandermonde plus a monomial is no multiple: the
+    # monomial does not vanish where two variables (or squares) are equal
+    n, q = case
+    terms, _ = times_vandermonde(q, n, squared=squared).integer_terms()
+    e = data.draw(st.sampled_from(sorted(terms)) if terms else
+                  st.tuples(*[st.integers(0, 6)] * n))
+    terms[e] = terms.get(e, 0) + data.draw(st.integers(-3, 3).filter(bool))
+    with pytest.raises(InexactDivision):
+        vandermonde_quotient(terms, 1, n, squared)
 
 
 # -- evaluate -----------------------------------------------------------

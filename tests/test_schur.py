@@ -10,8 +10,8 @@ from gysin.schur import (
     schur_bialternant,
     schur_squared_args,
     schur_tableaux,
-    vandermonde_factors,
 )
+from division_reference import vandermonde_factors
 from schur_reference import (
     elementary_symmetric,
     schur_from_elementary,
