@@ -246,17 +246,6 @@ class SparsePoly:
                 base = base * base
         return result
 
-    # -- division ------------------------------------------------------
-
-    def exact_div(self, divisor: "SparsePoly") -> "SparsePoly":
-        """Exact quotient q with q * divisor == self.
-
-        Iterated leading-term elimination in the canonical order; the
-        division is exact iff the eliminated remainder reaches zero, and
-        any stuck leading term raises :class:`InexactDivision`.
-        """
-        return exact_quotient(self, [divisor])
-
     # -- evaluation and substitutions -----------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -366,20 +355,20 @@ def vandermonde_quotient(terms: Mapping, scale, nvars: int, squared: bool = Fals
     divided exactly by the Vandermonde prod_{i<j}(x_i - x_j), or by
     prod_{i<j}(x_i^2 - x_j^2) when ``squared``.
 
-    Raises :class:`InexactDivision` when the quotient is not a polynomial.
+    Raises :class:`InexactDivision` when the quotient is not a polynomial,
+    and when ``squared`` and an exponent is odd.
     """
     half = 1 if squared else 0
     columns = [set(column) for column in zip(*terms)]
+    if squared and any(k & 1 for column in columns for k in column):
+        raise InexactDivision("the dividend is not a polynomial in the squares")
     top = max(map(max, columns), default=0) >> half
     # An exponent vector is packed into one integer, a field of ``width``
     # bits per variable, wide enough for the sum of two exponents; when
-    # squared, the fields hold the halved exponents and their parities
-    # sit above the fields.
+    # squared, the fields hold the halved exponents.
     width = max((2 * top).bit_length(), 1)
     shifts = range(0, width * nvars, width)
-    low = width * nvars
-    fields = [{k: (k >> half) << s | (k & half) << (low + v) for k in column}
-              for v, (s, column) in enumerate(zip(shifts, columns))]
+    fields = [{k: k >> half << s for k in column} for s, column in zip(shifts, columns)]
     packed = {sum(map(getitem, fields, e)): c for e, c in terms.items() if c}
     mask = (1 << width) - 1
     # all the differences x_i - x_j of one i before those of the next: at
@@ -389,8 +378,7 @@ def vandermonde_quotient(terms: Mapping, scale, nvars: int, squared: bool = Fals
             packed = _divide_difference(packed, si, sj, mask)
     scale = _as_fraction(scale)
     return SparsePoly._raw(nvars, {
-        tuple((key >> s & mask) << half | key >> (low + v) & half for v, s in enumerate(shifts)):
-        c * scale
+        tuple((key >> s & mask) << half for s in shifts): c * scale
         for key, c in packed.items()
     })
 

@@ -83,20 +83,16 @@ def _check_numerator(p: SparsePoly, space: Space):
     check_rank(space.n)
 
 
-def _divide(terms: dict, scale: Fraction, n: int) -> SparsePoly:
-    # exact division of scale * terms by prod_{i<j}(t_i^2 - t_j^2)
-    return vandermonde_quotient(terms, scale, n, squared=True)
-
-
 def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
     # a * z^k with all k odd -> a * t^(k-1), then the exact division by
-    # prod_{i<j}(t_j^2 - t_i^2), the reverse of _divide's
+    # prod_{i<j}(t_j^2 - t_i^2), the reverse of the kernel's
     shifted = SparsePoly(n, {
         tuple(k - 1 for k in exps): coeff
         for exps, coeff in W.extract_odd_terms().items()
     })
     terms, den = shifted.integer_terms()
-    return _divide(terms, Fraction((-1) ** (n * (n - 1) // 2), den), n)
+    sign = (-1) ** (n * (n - 1) // 2)
+    return vandermonde_quotient(terms, Fraction(sign, den), n, squared=True)
 
 
 def _numerator_shift(space: Space) -> tuple:
@@ -155,7 +151,7 @@ def schur_residue(lam: Partition, space: Space) -> SparsePoly:
     gamma = tuple(lam.part(i) + s for i, s in enumerate(shift))
     if any(k & 1 for k in gamma):
         return SparsePoly.zero(n)
-    return _divide(_alternant_sum({gamma: 1}, n), constant, n)
+    return vandermonde_quotient(_alternant_sum({gamma: 1}, n), constant, n, squared=True)
 
 
 def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
@@ -177,7 +173,7 @@ def pushforward_symmetric(V: SparsePoly, space: Space) -> SparsePoly:
     _check_numerator(V, space)
     if not V.is_symmetric():
         raise NotSymmetric("push-forward input must be a symmetric polynomial")
-    return _divide(*_straightened_numerator(V, space), space.n)
+    return vandermonde_quotient(*_straightened_numerator(V, space), space.n, squared=True)
 
 
 def closed_form(lam: Partition, space: Space) -> PushforwardResult:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import gysin.poly
 from gysin.errors import InexactDivision, VariableCountMismatch
 from gysin.poly import SparsePoly, vandermonde_quotient
 
@@ -164,8 +165,11 @@ def times_vandermonde(q, n, **form):
 @given(vandermonde_multiples(), st.booleans(), st.booleans())
 def test_vandermonde_quotient_matches_the_heap_division(case, reverse, squared):
     # the prefix-sum kernel against leading-term elimination by each binomial;
-    # the reversed product is the plain one times (-1)^(n(n-1)/2)
+    # the reversed product is the plain one times (-1)^(n(n-1)/2), and the
+    # squared form divides polynomials in the squares
     n, q = case
+    if squared:
+        q = q.square_variables()
     W = times_vandermonde(q, n, reverse=reverse, squared=squared)
     terms, den = W.integer_terms()
     sign = -1 if reverse and n * (n - 1) // 2 % 2 else 1
@@ -186,6 +190,19 @@ def test_vandermonde_quotient_refuses_a_changed_coefficient(case, squared, data)
     terms[e] = terms.get(e, 0) + data.draw(st.integers(-3, 3).filter(bool))
     with pytest.raises(InexactDivision):
         vandermonde_quotient(terms, 1, n, squared)
+
+
+def test_vandermonde_quotient_squared_refuses_an_odd_exponent():
+    # x1^3 - x1*x2^2 is x1 * (x1^2 - x2^2), but x1 is no polynomial in the squares
+    with pytest.raises(InexactDivision):
+        vandermonde_quotient({(3, 0): 1, (1, 2): -1}, 1, 2, squared=True)
+    assert vandermonde_quotient({(2, 0): 1, (0, 2): -1}, 1, 2, squared=True) == 1
+
+
+def test_heap_division_is_gone_from_the_program():
+    assert not hasattr(SparsePoly, "exact_div")
+    assert not hasattr(gysin.poly, "exact_quotient")
+    assert not hasattr(gysin.poly, "_divide_terms")
 
 
 # -- evaluate -----------------------------------------------------------
