@@ -385,6 +385,13 @@ def test_verify_negative_points_exits_2(capsys):
     assert "oracle_points" in err
 
 
+def test_verify_too_many_points_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--points", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seeded points limited to 1024, got 1000000000\n"
+
+
 def test_verify_negative_weight_max_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--n-max", "1", "--weight-max", "-3")
     assert code == 2

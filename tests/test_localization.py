@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from gysin import localization
+from gysin import localization, poly, schur
 from gysin.errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from gysin.localization import (
     MAX_POWER_BITS,
@@ -24,6 +24,7 @@ from gysin.poly import SparsePoly
 from gysin.pushforward import pushforward_symmetric, schur_residue
 from gysin.schur import monomial_symmetric, schur_bialternant
 from gysin.spaces import SpaceKind, lg, og_even, og_odd
+from localization_reference import parity_totals, permutation_sum
 
 
 # -- points ---------------------------------------------------------------
@@ -113,8 +114,9 @@ def test_euler_factor_equals_product_formula(space_factory, n, seed):
 def test_euler_factor_times_vandermonde_is_one_product_up_to_sign(space_factory, n):
     # E(m) * prod_{i<j}(x_i - x_j) == sigma(m) * D at every sign vector:
     # D = prod_{i<j}(t_i^2 - t_j^2), times prod 2*t_i on lg and prod t_i on
-    # og-odd, sigma(m) = prod eps_i on lg and og-odd, +1 on og-even.  So a
-    # Schur class's fixed-point sum divides once per point.
+    # og-odd, sigma(m) = prod eps_i on lg and og-odd, +1 on og-even.  So
+    # 1/E(m) = sigma(m) * V(m) / D, and every class's fixed-point sum
+    # divides once per point.
     space = space_factory(n)
     point = seeded_points(n, 1, seed=n)[0]
     t = point.values
@@ -126,6 +128,7 @@ def test_euler_factor_times_vandermonde_is_one_product_up_to_sign(space_factory,
         D *= prod(t)
     pairs = n * (n - 1) // 2
     signed = [(-1) ** m * (3 * m + 1) for m in range(1 << n)]
+    vandermondes = localization._vandermondes(point.numerators)
     expected = Fraction(0)
     for fp in fixed_points(space):
         x = [s * v for s, v in zip(fp.signs, t)]
@@ -133,12 +136,14 @@ def test_euler_factor_times_vandermonde_is_one_product_up_to_sign(space_factory,
         sigma = 1 if space.kind is SpaceKind.ORTHOGONAL_EVEN else prod(fp.signs)
         assert euler_factor(space, fp, point) * vandermonde == sigma * D
         mask = sum(1 << i for i, s in enumerate(fp.signs) if s < 0)
+        # the integer Vandermondes of every mask, built one variable at a time
+        assert vandermondes[mask] == vandermonde * point.scale ** pairs
         scaled = euler_factor(space, fp, point) * vandermonde * point.scale ** (
             space.dimension + pairs)
         expected += signed[mask] / scaled
     # the sum over integer numerators divides once and agrees with the
     # sum of the per-mask quotients
-    assert localization._over_vandermonde(signed, space, point) == expected
+    assert Fraction(*localization._over_vandermonde(signed, space, point)) == expected
 
 
 def test_reciprocal_euler_factors_sum_to_zero():
@@ -261,7 +266,7 @@ def test_localization_sum_equals_plain_evaluation(space_factory, case):
 
 # The two sign conventions a sign mask can get wrong show at a point with a
 # negative and a fractional coordinate.
-NEGATIVE_FRACTIONAL = (Fraction(-1, 2), 3, Fraction(5, 3), -7)
+NEGATIVE_FRACTIONAL = (Fraction(-1, 2), 3, Fraction(5, 3), -7, Fraction(9, 4))
 
 
 @given(
@@ -278,6 +283,34 @@ def test_schur_localization_sum_equals_the_expanded_sum(space_factory, case):
     points = [default_point(n), GenericPoint(NEGATIVE_FRACTIONAL[:n])] + seeded_points(n, 2, seed)
     for pt in points:
         assert schur_localization_sum(lam, space, pt) == localization_sum(V, space, pt)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 6), max_size=n), st.integers(0, 1000))))
+def test_laplace_totals_equal_the_permutation_terms(case):
+    # the parity-split Laplace products against the n! signed permutation
+    # terms of det(x_j^(a_i)), totalled per parity mask, at every mask
+    n, parts, seed = case
+    lam = Partition(sorted(parts, reverse=True))
+    totals = localization._alternant_terms(lam, n)[3]
+    for pt in [GenericPoint(NEGATIVE_FRACTIONAL[:n])] + seeded_points(n, 2, seed):
+        assert totals(pt.numerators, pt.scale) == parity_totals(lam, n, pt.numerators)
+
+
+@given(
+    st.sampled_from([lg, og_even, og_odd]),
+    st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 6), max_size=n), st.integers(0, 1000))),
+)
+def test_schur_localization_sum_equals_the_permutation_sum(space_factory, case):
+    # the integer sum with one division per point against the determinant
+    # of n! terms over the Vandermonde and the Euler class at each fixed
+    # point, in Fractions
+    n, parts, seed = case
+    space, lam = space_factory(n), Partition(sorted(parts, reverse=True))
+    points = [GenericPoint(NEGATIVE_FRACTIONAL[:n])] + seeded_points(n, 2, seed)
+    for pt in points:
+        assert schur_localization_sum(lam, space, pt) == permutation_sum(lam, space, pt)
 
 
 # -- cross_check ------------------------------------------------------------------
@@ -322,6 +355,47 @@ def test_cross_check_shares_terms_across_points(space_factory, case):
         value.evaluate(pt.values) for pt in points]
     assert cross_check(V, space, value, points)
     assert not cross_check(V, space, value + 1, points)
+
+
+@pytest.mark.parametrize("space_factory", [lg, og_even, og_odd])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_schur_cross_check_at_high_rank(space_factory, n):
+    # 2*(1) + rho, a nonzero class whose a = lam + delta has one parity, and
+    # (3, 1), whose rows split into odd and even ones
+    space = space_factory(n)
+    top = n - 1 if space_factory is og_even else n
+    points = [default_point(n)] + seeded_points(n, 2, seed=n)
+    for parts, nonzero in (([top + 2, *range(top - 1, 0, -1)], True), ([3, 1], False)):
+        lam = Partition(parts)
+        value = schur_residue(lam, space)
+        assert bool(value) is nonzero
+        assert schur_cross_check(lam, space, value, points)
+        assert not schur_cross_check(lam, space, value + 1, points)
+
+
+def test_schur_oracle_builds_its_own_determinant(monkeypatch):
+    # the residue path's alternant and Vandermonde division are not called
+    lam, space = Partition([6, 3, 2, 1]), og_odd(4)
+    value = schur_residue(lam, space)
+    assert value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"called with {args}")
+
+    for module in (schur, poly, localization):
+        for name in ("alternant", "permutation_sign", "schur_bialternant",
+                     "vandermonde_quotient"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    points = [default_point(4)] + seeded_points(4, 2, seed=3)
+    assert schur_cross_check(lam, space, value, points)
+    assert schur_localization_sum(lam, space, points[1]) == value.evaluate(points[1].values)
+
+
+def test_cross_check_value_with_wrong_nvars():
+    with pytest.raises(VariableCountMismatch):
+        schur_cross_check(Partition([2, 1]), lg(2), SparsePoly.zero(3), [default_point(2)])
+    with pytest.raises(VariableCountMismatch):
+        cross_check(SparsePoly.constant(2, 1), lg(2), SparsePoly.zero(1), [default_point(2)])
 
 
 def lg2_points(trials, seed):

@@ -263,8 +263,8 @@ def test_schur_pushforward_and_closed_form_never_expand_s_lambda(monkeypatch, ca
 
     for module in (schur, pushforward, verification, cli):
         monkeypatch.setattr(module, "schur_bialternant", refuse, raising=False)
-    # the fixed-point sum builds its own permutations, apart from the residue's
-    for name in ("alternant", "permutation_sign"):
+    # the fixed-point sum builds its own determinant, apart from the residue's
+    for name in ("alternant", "permutation_sign", "vandermonde_quotient"):
         monkeypatch.setattr(localization, name, refuse, raising=False)
     points = [default_point(3)] + seeded_points(3, 2, seed=4)
     for space in (lg(3), og_even(3), og_odd(3)):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from gysin import localization
 from gysin.errors import ExplicitSizeLimit
+from gysin.localization import MAX_POINTS
 from gysin.poly import SparsePoly
 from gysin.spaces import SpaceKind, lg, og_odd
 from gysin.verification import run_verification, table_rows
@@ -48,6 +50,25 @@ def test_rank_guard():
 def test_negative_oracle_points_rejected():
     with pytest.raises(ValueError):
         run_verification(n_max=1, weight_max=2, oracle_points=-1)
+
+
+def test_oracle_points_guard_comes_before_the_points(monkeypatch):
+    # a sweep asking for more than MAX_POINTS seeded points is refused before
+    # they are built; without the guard the counting stand-in stops it
+    built = []
+
+    def counted(values):
+        built.append(values)
+        if len(built) > 10:
+            raise AssertionError("points were built")
+        return honest(values)
+
+    honest = localization.GenericPoint
+    monkeypatch.setattr(localization, "GenericPoint", counted)
+    for count in (MAX_POINTS + 1, 10 ** 9):
+        with pytest.raises(ExplicitSizeLimit, match=f"^seeded points limited to {MAX_POINTS}, "):
+            run_verification(n_max=1, weight_max=0, oracle_points=count)
+    assert len(built) <= 2  # the default point of each attempt
 
 
 def test_negative_weight_max_rejected():
