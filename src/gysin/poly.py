@@ -15,24 +15,20 @@ coefficients of ordinary polynomials.
 The canonical term order used for rendering and serialization is
 descending lexicographic on the exponent tuples.
 
-Every divisor the program uses is the Vandermonde prod_{i<j}(x_i - x_j),
-in the variables or in their squares.  ``vandermonde_quotient`` divides
-integer terms by it one difference at a time: the quotient by x_i - x_j
-is a prefix sum over groups of terms, with no heap and no leading-term
-search, and the one ``Fraction`` scale is applied at the end.  Every
-coefficient that ``terms``, ``coefficient``, ``leading_term`` and
-``sorted_terms`` return is a ``Fraction``.
+There is no polynomial division here: the one divisor the program uses,
+the Vandermonde, divides sums of alternants in the monomial-symmetric
+basis (``schur.alternant_quotient``).  Every coefficient that ``terms``,
+``coefficient``, ``leading_term`` and ``sorted_terms`` return is a
+``Fraction``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import lcm
-from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InexactDivision, VariableCountMismatch
+from .errors import VariableCountMismatch
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -348,67 +344,3 @@ class SparsePoly:
             else:
                 chunks.append((" + " if coeff > 0 else " - ") + body)
         return "".join(chunks)
-
-
-def vandermonde_quotient(terms: Mapping, scale, nvars: int, squared: bool = False) -> SparsePoly:
-    """scale * sum(c * x^e) over the integer ``terms`` (exponents -> c),
-    divided exactly by the Vandermonde prod_{i<j}(x_i - x_j), or by
-    prod_{i<j}(x_i^2 - x_j^2) when ``squared``.
-
-    Raises :class:`InexactDivision` when the quotient is not a polynomial,
-    and when ``squared`` and an exponent is odd.
-    """
-    half = 1 if squared else 0
-    columns = [set(column) for column in zip(*terms)]
-    if squared and any(k & 1 for column in columns for k in column):
-        raise InexactDivision("the dividend is not a polynomial in the squares")
-    top = max(map(max, columns), default=0) >> half
-    # An exponent vector is packed into one integer, a field of ``width``
-    # bits per variable, wide enough for the sum of two exponents; when
-    # squared, the fields hold the halved exponents.
-    width = max((2 * top).bit_length(), 1)
-    shifts = range(0, width * nvars, width)
-    fields = [{k: k >> half << s for k in column} for s, column in zip(shifts, columns)]
-    packed = {sum(map(getitem, fields, e)): c for e, c in terms.items() if c}
-    mask = (1 << width) - 1
-    # all the differences x_i - x_j of one i before those of the next: at
-    # rank 8 this handles half the terms that ordering by j does
-    for i, si in enumerate(shifts):
-        for sj in shifts[i + 1:]:
-            packed = _divide_difference(packed, si, sj, mask)
-    scale = _as_fraction(scale)
-    return SparsePoly._raw(nvars, {
-        tuple((key >> s & mask) << half for s in shifts): c * scale
-        for key, c in packed.items()
-    })
-
-
-def _divide_difference(packed: dict, si: int, sj: int, mask: int) -> dict:
-    # Exact division by x_i - x_j of packed terms, whose fields for x_i and
-    # x_j start at bits si < sj.  Multiplying by x_i - x_j keeps every other
-    # exponent and a_i + a_j, so the terms split into groups on those: the
-    # keys base + a_j * step.  In a group, sorted by a_j, the quotient's
-    # coefficient at a_j = k is the prefix sum of the coefficients at
-    # a_j <= k, and the division is exact iff the whole group sums to zero.
-    # The quotient's key at a_j = k, with a_i = a_i + a_j - 1 - k, is
-    # base + k * step - (1 << si).
-    step = (1 << sj) - (1 << si)
-    groups = defaultdict(list)
-    for key in packed:
-        groups[key - (key >> sj & mask) * step].append(key)
-    low = 1 << si
-    out: dict = {}
-    for column in groups.values():
-        column.sort()
-        total = 0
-        for key in column:
-            if total:
-                if key - last == step:
-                    out[last - low] = total
-                else:
-                    out.update(dict.fromkeys(range(last - low, key - low, step), total))
-            total += packed[key]
-            last = key
-        if total:
-            raise InexactDivision("the dividend is not divisible by the Vandermonde")
-    return out

@@ -13,13 +13,15 @@ which drops the sign (-1)^(n(n-1)/2) from both.
 
 For a symmetric class V, W is antisymmetric, so its all-odd part is a sum
 of alternants over strictly decreasing exponent vectors, straightened from
-V's terms one by one; the full product W never exists.
-``pushforward_numerator`` takes a given W and filters its odd terms instead.
+V's terms one by one; the full product W never exists, and no alternant
+is written out: ``schur.alternant_quotient`` divides the sum in the
+monomial-symmetric basis.  ``pushforward_numerator`` takes a given W,
+filters its odd terms and straightens them, refusing a W whose odd terms
+do not form whole alternants.
 
 A Schur class s_lam is never expanded: s_lam times the Vandermonde is the
-single alternant of lam + delta, so ``schur_residue`` starts from that one
-alternant (n! terms) and shares the alternant sum and the division with
-the general path.
+single alternant of lam + delta, so ``schur_residue`` hands that one
+alternant to the same division as the general path.
 
 For Schur classes there is also a closed form: the result vanishes unless
 lam = 2*mu + staircase, and then equals a space constant times
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .errors import InternalInconsistency, NotSymmetric, VariableCountMismatch
+from .errors import InexactDivision, InternalInconsistency, NotSymmetric, VariableCountMismatch
 from .partitions import Partition, decompose
-from .poly import SparsePoly, vandermonde_quotient
-from .schur import alternant, check_rank, check_size, permutation_sign, schur_squared_args
+from .poly import SparsePoly
+from .schur import alternant_quotient, check_rank, check_size, schur_squared_args, straighten
 from .spaces import Space
 
 
@@ -84,15 +87,24 @@ def _check_numerator(p: SparsePoly, space: Space):
 
 
 def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
-    # a * z^k with all k odd -> a * t^(k-1), then the exact division by
-    # prod_{i<j}(t_j^2 - t_i^2), the reverse of the kernel's
+    # a * z^k with all k odd -> a * t^(k-1), straightened onto alternants
+    # and divided by prod_{i<j}(t_j^2 - t_i^2), the reverse of the kernel's.
+    # W is antisymmetric only if every orbit of these terms is complete
+    # and carries the signs of its alternant.
     shifted = SparsePoly(n, {
         tuple(k - 1 for k in exps): coeff
         for exps, coeff in W.extract_odd_terms().items()
     })
     terms, den = shifted.integer_terms()
+    coeffs: dict = {}
+    for f, c in terms.items():
+        gamma, sign = straighten(f)
+        if not sign or coeffs.setdefault(gamma, sign * c) != sign * c:
+            raise InexactDivision("the numerator is not antisymmetric")
+    if len(terms) != factorial(n) * len(coeffs):
+        raise InexactDivision("the numerator is not antisymmetric")
     sign = (-1) ** (n * (n - 1) // 2)
-    return vandermonde_quotient(terms, Fraction(sign, den), n, squared=True)
+    return alternant_quotient(coeffs, Fraction(sign, den), n, squared=True)
 
 
 def _numerator_shift(space: Space) -> tuple:
@@ -103,23 +115,13 @@ def _numerator_shift(space: Space) -> tuple:
     return [n - 2 - i + k for i, k in enumerate(p)], constant
 
 
-def _alternant_sum(coeffs: dict, n: int) -> dict:
-    """The integer terms of the sum of c_gamma * alternant(gamma) over the
-    strictly decreasing gamma; alternants of distinct gamma share no term."""
-    return {
-        k: sign * b
-        for gamma, b in coeffs.items() if b
-        for k, sign in alternant(gamma, n).items()
-    }
-
-
 def _straightened_numerator(V: SparsePoly, space: Space) -> tuple:
-    """(terms, scale): the all-odd terms a * z^k of
+    """(coeffs, scale): the all-odd terms a * z^k of
     V * prod_{i<j}(z_i - z_j) * prefactor, already shifted to a * t^(k-1),
-    as scale times a sum of alternants with integer coefficients.
+    as scale times the sum of c * a_gamma over coeffs (gamma -> integer c).
 
     With the prefactor c * z^p and delta = (n-1, ..., 0), a term b * z^e of
-    the symmetric V contributes c * b * sign(sort) * alternant(gamma) when
+    the symmetric V contributes c * b * sign(sort) * a_gamma when
     f = e + delta + p - 1 has even, distinct entries, gamma being f sorted
     decreasingly, and nothing otherwise.
     """
@@ -129,12 +131,12 @@ def _straightened_numerator(V: SparsePoly, space: Space) -> tuple:
     coeffs: dict = {}
     for e, b in terms.items():
         f = [a + s for a, s in zip(e, shift)]
-        if any(k & 1 for k in f) or len(set(f)) < n:
+        if any(k & 1 for k in f):
             continue
-        order = sorted(range(n), key=f.__getitem__, reverse=True)
-        gamma = tuple(f[i] for i in order)
-        coeffs[gamma] = coeffs.get(gamma, 0) + permutation_sign(order) * b
-    return _alternant_sum(coeffs, n), constant / den
+        gamma, sign = straighten(f)
+        if sign:
+            coeffs[gamma] = coeffs.get(gamma, 0) + sign * b
+    return coeffs, constant / den
 
 
 def schur_residue(lam: Partition, space: Space) -> SparsePoly:
@@ -143,7 +145,7 @@ def schur_residue(lam: Partition, space: Space) -> SparsePoly:
     s_lam * prod_{i<j}(z_i - z_j) is the alternant of lam + delta, and the
     prefactor's z^p adds p to every exponent, so the numerator is the one
     alternant of gamma = lam + delta + p - 1: zero when an entry of gamma
-    is odd, else c * alternant(gamma), divided as for any class.
+    is odd, else c times the alternant of gamma, divided as for any class.
     """
     n = space.n
     check_size(lam, n)
@@ -151,14 +153,15 @@ def schur_residue(lam: Partition, space: Space) -> SparsePoly:
     gamma = tuple(lam.part(i) + s for i, s in enumerate(shift))
     if any(k & 1 for k in gamma):
         return SparsePoly.zero(n)
-    return vandermonde_quotient(_alternant_sum({gamma: 1}, n), constant, n, squared=True)
+    return alternant_quotient({gamma: 1}, constant, n, squared=True)
 
 
 def pushforward_numerator(W: SparsePoly, space: Space) -> SparsePoly:
     """Push-forward from the numerator W = V * prod_{i<j}(z_j - z_i).
 
-    The space prefactor is multiplied in first.  Inputs that are not of
-    the antisymmetric product form surface as InexactDivision.
+    The space prefactor is multiplied in first.  Only the all-odd terms
+    contribute, and they must be antisymmetric, as they are for every W of
+    this form; otherwise InexactDivision is raised.
     """
     _check_numerator(W, space)
     return _extract_and_divide(W * space.numerator_prefactor(), space.n)
@@ -173,7 +176,7 @@ def pushforward_symmetric(V: SparsePoly, space: Space) -> SparsePoly:
     _check_numerator(V, space)
     if not V.is_symmetric():
         raise NotSymmetric("push-forward input must be a symmetric polynomial")
-    return vandermonde_quotient(*_straightened_numerator(V, space), space.n, squared=True)
+    return alternant_quotient(*_straightened_numerator(V, space), space.n, squared=True)
 
 
 def closed_form(lam: Partition, space: Space) -> PushforwardResult:

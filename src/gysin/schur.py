@@ -1,4 +1,5 @@
-"""Schur polynomials by two independent constructions.
+"""Schur polynomials by two independent constructions, and the division of
+alternants by the Vandermonde.
 
 * bialternant ratio: det(z_c^(lam_r + d - r)) / prod_{i<j}(z_i - z_j)
 * generating sum over semistandard Young tableaux, built by the branching
@@ -6,11 +7,15 @@
   is added at a time and no tableau is listed one by one
 
 Both agree exactly and produce the standard Schur polynomial with
-non-negative integer coefficients.  The push-forward engine expands no
-Schur class on its residue path (it starts from the alternant of
+non-negative integer coefficients.  ``alternant_quotient`` divides a sum
+of alternants by the Vandermonde in the monomial-symmetric basis, so no
+alternant is written out as its n! terms: it computes the bialternant
+ratio and the residue path's division.  The push-forward engine expands
+no Schur class on its residue path (it starts from the alternant of
 lam + delta); the closed form's s_mu(t^2) comes from the tableau sum, and
-the fixed-point sum evaluates s_lam as a determinant of its own.  The
-bialternant serves ``schur --via bialternant`` and the tests.
+the fixed-point sum evaluates s_lam as a determinant of its own; neither
+calls the division.  The bialternant serves ``schur --via bialternant``
+and the tests.
 
 One budget, MAX_STEPS, bounds both constructions.  Before any work, a
 lower bound on the number of terms times the variables must fit in it;
@@ -22,15 +27,18 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from heapq import heapify, heappop, heappush
+from itertools import product
 from math import comb, prod
+from operator import add, sub
+from typing import Mapping
 
-from .errors import ExplicitSizeLimit, InvalidPartition
+from .errors import ExplicitSizeLimit, InexactDivision, InvalidPartition
 from .partitions import Partition
-from .poly import SparsePoly, vandermonde_quotient
+from .poly import SparsePoly
 
-# The alternant expansion is n!-sized and the fixed-point sum 2^n-sized;
-# refuse larger ranks.
+# No computation here is n!-sized; the fixed-point sum over 2^n points
+# is what bounds the rank.  Larger ranks are refused.
 MAX_RANK = 8
 # The budget of a Schur construction.  A step of the tableau sum is one
 # (mu, nu) pair or one term read from s_nu; with T tableaux and n
@@ -51,7 +59,7 @@ def _validate(lam: Partition, nvars: int):
 
 
 def check_rank(nvars: int):
-    """The rank guard of every n!-sized computation."""
+    """The rank guard of every push-forward and Schur construction."""
     if nvars > MAX_RANK:
         raise ExplicitSizeLimit(f"rank limited to {MAX_RANK}, got {nvars}")
 
@@ -84,7 +92,7 @@ def _check_terms(lam: Partition, nvars: int):
 
 
 def check_size(lam: Partition, nvars: int):
-    """The part-count and rank guards of every n!-sized Schur computation."""
+    """The part-count and rank guards of every Schur computation."""
     _validate(lam, nvars)
     check_rank(nvars)
 
@@ -92,33 +100,97 @@ def check_size(lam: Partition, nvars: int):
 def monomial_symmetric(lam: Partition, nvars: int) -> SparsePoly:
     """m_lam: the sum of all distinct permutations of the exponent vector."""
     _validate(lam, nvars)
-    base = lam.padded(nvars)
-    return SparsePoly(nvars, {e: _ONE for e in set(permutations(base))})
+    return SparsePoly(nvars, dict.fromkeys(distinct_permutations(lam.padded(nvars)), _ONE))
 
 
-def permutation_sign(perm) -> int:
-    """(-1)^(number of inversions) of a sequence of distinct values."""
+def distinct_permutations(values):
+    """Each distinct rearrangement of ``values`` once, in increasing lex
+    order: the next one is found in place, so a vector with repeated
+    entries costs its distinct rearrangements, not all of them."""
+    a = sorted(values)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
+def straighten(exponents) -> tuple:
+    """(gamma, sign): the exponents sorted decreasingly, and the sign of
+    that sort, so that the alternant det(z_c^(exponents_r)) is sign times
+    the alternant of gamma; sign is 0 when an exponent repeats."""
+    gamma = list(exponents)
     sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    # insertion sort: an alternant's shifted exponents come nearly sorted
+    for i in range(1, len(gamma)):
+        k = gamma[i]
+        j = i
+        while j and gamma[j - 1] < k:
+            gamma[j] = gamma[j - 1]
+            j -= 1
+            sign = -sign
+        if j and gamma[j - 1] == k:
+            return None, 0
+        gamma[j] = k
+    return tuple(gamma), sign
 
 
-def alternant(exponents, nvars: int) -> dict:
-    """det(z_c^(exponents_r)) as integer terms (exponents -> +-1): a signed
-    sum over all permutations, empty when an exponent repeats."""
-    if len(exponents) != nvars:
-        raise InvalidPartition(f"need {nvars} exponents, got {len(exponents)}")
-    if len(set(exponents)) < nvars:
-        return {}
-    # permutations() runs in lexicographic order, and a permutation of
-    # range(m) starting with f has f inversions more than its tail
-    signs = [1]
-    for m in range(2, nvars + 1):
-        signs = [-s if f & 1 else s for f in range(m) for s in signs]
-    return dict(zip(permutations(exponents), signs))
+def alternant_quotient(coeffs: Mapping, scale, nvars: int, squared: bool = False) -> SparsePoly:
+    """scale * sum(c * a_gamma) over ``coeffs`` (gamma -> integer c),
+    divided exactly by the Vandermonde a_delta = prod_{i<j}(x_i - x_j), or
+    by prod_{i<j}(x_i^2 - x_j^2) when ``squared``.  a_gamma is the
+    alternant det(x_c^(gamma_r)) of a strictly decreasing gamma.
+
+    The quotient is peeled off in the monomial-symmetric basis: with alpha
+    over the distinct permutations of a partition beta,
+    m_beta * a_delta = sum of a_(alpha + delta), whose lex-largest
+    alternant is a_(beta + delta) and every other one lex-smaller.  So the
+    lex-largest gamma left, with coefficient q, gives q * m_(gamma - delta),
+    and the straightened a_(alpha + delta) of every alpha != beta are
+    subtracted.  No alternant is expanded: the work is one straightening
+    per term of the quotient.  When ``squared``, the same holds in the
+    squares with every exponent doubled, and an odd exponent raises
+    :class:`InexactDivision`.  A gamma that is not strictly decreasing
+    raises ``ValueError``.
+    """
+    step = 2 if squared else 1
+    delta = range(step * (nvars - 1), -1, -step)
+    if any(a <= b for gamma in coeffs for a, b in zip(gamma, gamma[1:])):
+        raise ValueError("alternants are taken on strictly decreasing exponents")
+    if squared and any(k & 1 for gamma in coeffs for k in gamma):
+        raise InexactDivision("the dividend is not a polynomial in the squares")
+    left = dict(coeffs)
+    # a max-heap of the gammas left, as negated vectors; a gamma whose
+    # coefficient cancels to 0 stays, and is skipped when popped
+    heap = [tuple(-k for k in gamma) for gamma in left]
+    heapify(heap)
+    scale = Fraction(scale)
+    out: dict = {}
+    while heap:
+        gamma = tuple(-k for k in heappop(heap))
+        q = left.pop(gamma, 0)
+        if not q:
+            continue
+        beta = tuple(map(sub, gamma, delta))
+        alphas = list(distinct_permutations(beta))
+        out.update(dict.fromkeys(alphas, q * scale))
+        alphas.pop()  # beta itself, the lex-largest
+        for alpha in alphas:
+            key, sign = straighten(map(add, alpha, delta))
+            if not sign:
+                continue
+            if key not in left:
+                heappush(heap, tuple(-k for k in key))
+            left[key] = left.get(key, 0) - sign * q
+    return SparsePoly._raw(nvars, out)
 
 
 def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
@@ -127,7 +199,7 @@ def schur_bialternant(lam: Partition, nvars: int) -> SparsePoly:
     check_size(lam, nvars)
     _check_terms(lam, nvars)
     shifted = tuple(lam.part(r) + nvars - 1 - r for r in range(nvars))
-    return vandermonde_quotient(alternant(shifted, nvars), 1, nvars)
+    return alternant_quotient({shifted: 1}, 1, nvars)
 
 
 def _interlacing(mu: tuple, k: int):

@@ -223,8 +223,8 @@ def test_size_guard_message_is_the_same_for_every_method(capsys, method, argv, m
 
 
 def test_pushforward_rank_7_gives_s21_at_squares(capsys):
-    # lambda = 2*(2,1) + rho(7): the residue starts from one alternant of
-    # 5040 terms, so rank 7 answers in about a second
+    # lambda = 2*(2,1) + rho(7): the residue divides one alternant, never
+    # written out, in the monomial basis, and the quotient has 77 terms
     code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "7",
                              "--lambda", "11,8,5,4,3,2,1")
     value = schur_jacobi_trudi(Partition([2, 1]), 7).square_variables()
@@ -235,9 +235,9 @@ def test_pushforward_rank_7_gives_s21_at_squares(capsys):
 
 @pytest.mark.parametrize("space, constant", [("lg", "1"), ("og-odd", "256")])
 def test_pushforward_rank_8_all_methods_agree(capsys, space, constant):
-    # lambda = 2*(2,1) + rho(8): the residue divides an alternant of 40,320
-    # terms by the 28 binomials of the squared Vandermonde, and the oracle
-    # sums a 40,320-term determinant over 256 sign masks at three points
+    # lambda = 2*(2,1) + rho(8): the residue peels the 2 partitions of the
+    # quotient off one alternant, never written out, and the oracle expands
+    # its determinant by minors over 256 sign masks at three points
     code, out, err = run_cli(capsys, "pushforward", "--space", space, "--n", "8",
                              "--lambda", "12,9,6,5,4,3,2,1", "--method", "all")
     assert (code, err) == (0, "")

@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from gysin import localization, poly, schur
+from gysin import localization, poly, pushforward, schur
 from gysin.errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from gysin.localization import (
     MAX_POWER_BITS,
@@ -374,7 +374,7 @@ def test_schur_cross_check_at_high_rank(space_factory, n):
 
 
 def test_schur_oracle_builds_its_own_determinant(monkeypatch):
-    # the residue path's alternant and Vandermonde division are not called
+    # the residue path's straightening and division are not called
     lam, space = Partition([6, 3, 2, 1]), og_odd(4)
     value = schur_residue(lam, space)
     assert value
@@ -382,9 +382,9 @@ def test_schur_oracle_builds_its_own_determinant(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"called with {args}")
 
-    for module in (schur, poly, localization):
-        for name in ("alternant", "permutation_sign", "schur_bialternant",
-                     "vandermonde_quotient"):
+    for module in (schur, poly, pushforward, localization):
+        for name in ("alternant_quotient", "straighten", "distinct_permutations",
+                     "schur_bialternant"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     points = [default_point(4)] + seeded_points(4, 2, seed=3)
     assert schur_cross_check(lam, space, value, points)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gysin import cli, localization, pushforward, schur, verification
 from gysin.errors import (
@@ -13,7 +13,13 @@ from gysin.errors import (
     NotSymmetric,
     VariableCountMismatch,
 )
-from gysin.localization import cross_check, default_point, localization_sum, seeded_points
+from gysin.localization import (
+    cross_check,
+    default_point,
+    localization_sum,
+    schur_cross_check,
+    seeded_points,
+)
 from gysin.partitions import Partition, decompose, partitions_up_to_weight, rho
 from gysin.poly import SparsePoly
 from gysin.pushforward import (
@@ -21,17 +27,17 @@ from gysin.pushforward import (
     pushforward_numerator,
     pushforward_schur,
     pushforward_symmetric,
+    schur_residue,
 )
 from gysin.schur import (
-    alternant,
+    alternant_quotient,
     monomial_symmetric,
-    permutation_sign,
     schur_bialternant,
     schur_squared_args,
 )
 from gysin.spaces import Space, SpaceKind, lg, og_even, og_odd
 
-from division_reference import exact_div, vandermonde_factors
+from division_reference import exact_div, permutation_sign, vandermonde_factors
 
 z1 = SparsePoly.variable(2, 0)
 z2 = SparsePoly.variable(2, 1)
@@ -81,6 +87,27 @@ def test_numerator_inexact_for_bad_shape():
     # all-odd but not an antisymmetric product: division cannot be exact
     with pytest.raises(InexactDivision):
         pushforward_numerator(z1 * z2 ** 3 + z1 ** 3 * z2, lg(2))
+    # shifted, z1^4 - z1^2*z2^2 = z1^2 * (z1^2 - z2^2) divides by the
+    # Vandermonde in the squares, but is not antisymmetric
+    with pytest.raises(InexactDivision):
+        pushforward_numerator(z1 ** 5 * z2 - z1 ** 3 * z2 ** 3, lg(2))
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * n), st.integers(-5, 5).filter(bool), min_size=1,
+    max_size=4))), st.sampled_from([lg, og_odd]))
+def test_numerator_refuses_a_divisible_odd_part_that_is_not_antisymmetric(case, space):
+    # W = z1*...*zn * U(z^2) * prod_{i<j}(z_i^2 - z_j^2) is all odd, and its
+    # shifted terms are U times the Vandermonde in the squares; W is
+    # V * prod_{i<j}(z_j - z_i) with V symmetric only when U is symmetric
+    n, terms = case
+    U = SparsePoly(n, terms)
+    assume(not U.is_symmetric())
+    W = SparsePoly.monomial(n, (1,) * n) * U.square_variables()
+    for factor in vandermonde_factors(n, squared=True):
+        W = W * factor
+    with pytest.raises(InexactDivision):
+        pushforward_numerator(W, space(n))
 
 
 # -- pushforward_symmetric --------------------------------------------------
@@ -155,21 +182,24 @@ def test_straightened_numerator_matches_the_full_product(case):
 
 def test_straightening_expands_only_strictly_decreasing_alternants(monkeypatch):
     # a term whose shifted exponents repeat contributes nothing; it must be
-    # dropped, not expanded into an alternant that cancels to zero
-    expanded = []
+    # dropped, not handed to the division as an alternant that is zero
+    divided = []
 
-    def recording(exponents, nvars):
-        expanded.append(tuple(exponents))
-        return alternant(exponents, nvars)
+    def recording(coeffs, *args, **kwargs):
+        divided.extend(coeffs)
+        return alternant_quotient(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(pushforward, "alternant", recording)
+    monkeypatch.setattr(pushforward, "alternant_quotient", recording)
     for n in (1, 2, 3, 4):
         V = sum((monomial_symmetric(lam, n) for lam in partitions_up_to_weight(n, 5)),
                 SparsePoly.zero(n))
+        W = V
+        for factor in vandermonde_factors(n, reverse=True):
+            W = W * factor
         for space in (lg(n), og_even(n), og_odd(n)):
-            pushforward_symmetric(V, space)
-    assert expanded
-    assert all(all(a > b for a, b in zip(g, g[1:])) for g in expanded)
+            assert pushforward_symmetric(V, space) == pushforward_numerator(W, space)
+    assert divided
+    assert all(all(a > b for a, b in zip(g, g[1:])) for g in divided)
 
 
 def test_linearity():
@@ -261,21 +291,30 @@ def test_schur_pushforward_and_closed_form_never_expand_s_lambda(monkeypatch, ca
     def refuse(*args):
         raise AssertionError(f"called with {args}")
 
+    points = [default_point(3)] + seeded_points(3, 2, seed=4)
+    cases = [(space, lam) for space in (lg(3), og_even(3), og_odd(3))
+             for lam in partitions_up_to_weight(3, 8)]
+    residues = [schur_residue(lam, space) for space, lam in cases]
     for module in (schur, pushforward, verification, cli):
         monkeypatch.setattr(module, "schur_bialternant", refuse, raising=False)
-    # the fixed-point sum builds its own determinant, apart from the residue's
-    for name in ("alternant", "permutation_sign", "vandermonde_quotient"):
-        monkeypatch.setattr(localization, name, refuse, raising=False)
-    points = [default_point(3)] + seeded_points(3, 2, seed=4)
-    for space in (lg(3), og_even(3), og_odd(3)):
-        for lam in partitions_up_to_weight(3, 8):
-            assert pushforward_schur(lam, space).value == closed_form(lam, space).value
-            assert verification.evaluate_case(space, lam, points).ok
+    # the tableau sum and the fixed-point sum never reach the residue's
+    # division, which only pushforward's own binding still calls
+    for module in (schur, localization):
+        monkeypatch.setattr(module, "alternant_quotient", refuse, raising=False)
+    for (space, lam), value in zip(cases, residues):
+        assert pushforward_schur(lam, space).value == value == closed_form(lam, space).value
+        assert verification.evaluate_case(space, lam, points).ok
     assert verification.run_verification(n_max=3, weight_max=6).all_ok
     for method in ("abbv", "all"):
         assert cli.main(["pushforward", "--space", "og-odd", "--n", "4", "--lambda", "6,3,2,1",
                          "--method", method]) == 0
     assert "oracle: 480\n" in capsys.readouterr().out
+    # without the division anywhere, the closed form and the fixed-point
+    # sum still reproduce every residue
+    monkeypatch.setattr(pushforward, "alternant_quotient", refuse)
+    for (space, lam), value in zip(cases, residues):
+        assert closed_form(lam, space).value == value
+        assert schur_cross_check(lam, space, value, points)
 
 
 # -- closed_form ------------------------------------------------------------------

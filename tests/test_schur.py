@@ -1,17 +1,25 @@
+import importlib
+import pkgutil
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+import gysin
 from gysin import schur
-from gysin.errors import ExplicitSizeLimit, InvalidPartition
+from gysin.errors import ExplicitSizeLimit, InexactDivision, InvalidPartition
 from gysin.partitions import Partition, enumerate_ssyt, partitions_up_to_weight
 from gysin.poly import SparsePoly
 from gysin.schur import (
+    alternant_quotient,
+    distinct_permutations,
     monomial_symmetric,
     schur_bialternant,
     schur_squared_args,
     schur_tableaux,
 )
-from division_reference import vandermonde_factors
+from division_reference import alternant, vandermonde_factors, vandermonde_quotient
 from schur_reference import (
     elementary_symmetric,
     schur_from_elementary,
@@ -35,6 +43,61 @@ def test_monomial_symmetric():
     assert monomial_symmetric(Partition([2]), 2) == z1 ** 2 + z2 ** 2
     assert monomial_symmetric(Partition([2, 1]), 2) == z1 ** 2 * z2 + z1 * z2 ** 2
     assert monomial_symmetric(Partition(), 2) == 1
+
+
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_distinct_permutations_lists_each_rearrangement_once_in_lex_order(values):
+    assert list(distinct_permutations(values)) == sorted(set(permutations(values)))
+
+
+@st.composite
+def alternant_sums(draw):
+    """(n, coeffs): integer coefficients on strictly decreasing exponent
+    vectors in n <= 5 variables."""
+    n = draw(st.integers(1, 5))
+    gammas = st.sets(st.integers(0, 9), min_size=n, max_size=n).map(
+        lambda g: tuple(sorted(g, reverse=True)))
+    return n, draw(st.dictionaries(gammas, st.integers(-6, 6), max_size=4))
+
+
+@given(alternant_sums(), st.booleans(),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
+def test_alternant_quotient_matches_the_prefix_sum_division(case, squared, scale):
+    # peeling in the monomial basis against dividing the written-out
+    # alternants binomial by binomial; squared, every exponent is doubled
+    n, coeffs = case
+    if squared:
+        coeffs = {tuple(2 * k for k in gamma): c for gamma, c in coeffs.items()}
+    terms = {}
+    for gamma, c in coeffs.items():
+        for e, sign in alternant(gamma, n).items():
+            terms[e] = terms.get(e, 0) + sign * c
+    quotient = alternant_quotient(coeffs, scale, n, squared)
+    assert quotient == vandermonde_quotient(terms, scale, n, squared)
+    assert all(type(v) is Fraction for v in quotient.terms().values())
+
+
+def test_alternant_quotient_squared_refuses_an_odd_exponent():
+    # the alternant of (3, 1) is x1^3*x2 - x1*x2^3, no polynomial in the squares
+    with pytest.raises(InexactDivision):
+        alternant_quotient({(3, 1): 1}, 1, 2, squared=True)
+    assert alternant_quotient({(2, 0): 1}, 1, 2, squared=True) == 1
+    assert alternant_quotient({(3, 1): 1}, 1, 2) == z1 ** 2 * z2 + z1 * z2 ** 2
+    # exponents that are not strictly decreasing are refused, not peeled
+    for gamma in ((1, 1), (0, 2)):
+        with pytest.raises(ValueError):
+            alternant_quotient({gamma: 1}, 1, 2)
+
+
+def test_no_alternant_is_written_out_in_the_program():
+    assert not hasattr(schur, "alternant")
+    assert not hasattr(schur, "permutation_sign")
+    names = [info.name for info in pkgutil.iter_modules(gysin.__path__)]
+    assert "localization" in names
+    for name in names:
+        if name != "__main__":
+            module = importlib.import_module(f"gysin.{name}")
+            assert getattr(module, "permutations", None) is not permutations, name
 
 
 def test_vandermonde_factors_product():
