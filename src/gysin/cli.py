@@ -7,7 +7,8 @@ Commands:
   table        tabulate push-forwards as CSV or JSON
 
 Exit codes: 0 ok, 1 verification mismatch, 2 invalid usage or input,
-3 internal inconsistency between methods.
+3 internal inconsistency between methods, 141 output pipe closed by its
+reader (as for a filter killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
-from .errors import GysinError, InternalInconsistency
+from .errors import ExplicitSizeLimit, GysinError, InternalInconsistency
 from .localization import GenericPoint, default_point, schur_localization_sum, seeded_points
 from .partitions import Partition
 from .pushforward import PushforwardResult, closed_form, pushforward_schur
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_CLOSED_PIPE = 141
 
 _SCHUR_BUILDERS = {
     "bialternant": schur_bialternant,
@@ -39,9 +42,26 @@ _SCHUR_BUILDERS = {
 }
 
 
+# Python prints no integer of more digits, so no --t coordinate may be
+# longer.  Fraction builds 10**e for an exponent e, but the digits before
+# and after the point each number at most this many, so past twice as
+# many the value cannot fit: such an exponent is refused before the power.
+MAX_COORDINATE_DIGITS = 4300
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def _coordinate(token: str) -> Fraction:
+    exponent = _EXPONENT.search(token)
+    if not exponent or abs(int(exponent[1])) <= 2 * MAX_COORDINATE_DIGITS:
+        value = Fraction(token.strip())
+        if max(abs(value.numerator), value.denominator) < 10 ** MAX_COORDINATE_DIGITS:
+            return value
+    raise ExplicitSizeLimit(f"--t coordinates are limited to {MAX_COORDINATE_DIGITS} digits")
+
+
 def _parse_point(text: str, n: int) -> GenericPoint:
     try:
-        values = [Fraction(token.strip()) for token in text.split(",")]
+        values = [_coordinate(token) for token in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise GysinError(f"cannot parse rational vector {text!r}") from None
     if len(values) != n:
@@ -206,7 +226,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_glue_negative_point(argv))
     try:
-        return _DISPATCH[args.command](args, sys.stdout)
+        code = _DISPATCH[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone, as after `| head`; the last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

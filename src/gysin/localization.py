@@ -15,15 +15,15 @@ at a point the sum starts from the totals per parity mask, over a common
 power of the point's denominator, and one Walsh-Hadamard transform gives
 the signed total at every mask.
 
-For a general class V the totals come from V's coefficients over their
-common denominator.  For a Schur class s_lam they come from det(X),
-X[i][j] = x_j^(a_i) with a = lam + delta, which is s_lam times the
-Vandermonde prod_{i<j}(x_i - x_j), so s_lam is never expanded.  The
-determinant is not written out as its n! terms: split by the parity of
-a_i, its terms with parity mask P add up to the Laplace product of the
-odd rows' minor on the columns P and the even rows' minor on the rest,
-and all these minors come from one expansion over column subsets, about
-n * 2^(n-1) products per point.
+For a general class V the totals come from V's terms, evaluated in
+integers by ``poly.column_values`` as in ``SparsePoly.evaluate``.  For a
+Schur class s_lam they come from det(X), X[i][j] = x_j^(a_i) with a =
+lam + delta, which is s_lam times the Vandermonde prod_{i<j}(x_i - x_j),
+so s_lam is never expanded.  The determinant is not written out as its
+n! terms: split by the parity of a_i, its terms with parity mask P add
+up to the Laplace product of the odd rows' minor on the columns P and
+the even rows' minor on the rest, and all these minors come from one
+expansion over column subsets, about n * 2^(n-1) products per point.
 
 The Euler numerator E(m) times the Vandermonde numerator V(m) is the same
 product D at every mask m, up to a sign sigma(m).  So the Schur totals
@@ -45,12 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, compress, product
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from .errors import DegenerateEulerClass, ExplicitSizeLimit, VariableCountMismatch
 from .partitions import Partition
-from .poly import SparsePoly
+from .poly import SparsePoly, column_values, over_lcm
 from .schur import check_size
 from .spaces import Space, SpaceKind
 
@@ -100,8 +100,8 @@ class GenericPoint:
                 f"coordinates with equal absolute value in {_show(vals)}"
             )
         self.values = vals
-        self.scale = lcm(*(v.denominator for v in vals))
-        self.numerators = tuple(v.numerator * (self.scale // v.denominator) for v in vals)
+        numerators, self.scale = over_lcm(vals)
+        self.numerators = tuple(numerators)
 
     def __len__(self):
         return len(self.values)
@@ -154,72 +154,41 @@ def euler_factor(space: Space, point: FixedPoint, at: GenericPoint) -> Fraction:
     """
     if len(point.signs) != space.n or len(at.values) != space.n:
         raise VariableCountMismatch("fixed point or parameter point has wrong length")
-    negatives = sum(1 << i for i, s in enumerate(point.signs) if s < 0)
-    return Fraction(_euler_numerator(space, negatives, at), at.scale ** space.dimension)
-
-
-def _signed_numerators(negatives: int, at: GenericPoint) -> list:
-    """The point's integer numerators, negated where ``negatives`` has a bit."""
-    return [-x if negatives >> i & 1 else x for i, x in enumerate(at.numerators)]
-
-
-def _euler_numerator(space: Space, negatives: int, at: GenericPoint) -> int:
-    """The Euler class times ``at.scale ** space.dimension`` at the sign
-    vector whose negative entries are the set bits of ``negatives``."""
-    signed = _signed_numerators(negatives, at)
+    signed = [s * x for s, x in zip(point.signs, at.numerators)]
     result = 1
     for i, x in enumerate(signed):
         for y in signed[i + 1:]:
             result *= x + y
     if not result:
-        signs = tuple(-1 if negatives >> k & 1 else 1 for k in range(space.n))
-        raise DegenerateEulerClass(f"tangent weight vanished at signs={signs}, t={_show(at.values)}")
+        raise DegenerateEulerClass(
+            f"tangent weight vanished at signs={tuple(point.signs)}, t={_show(at.values)}")
     if space.kind is SpaceKind.LAGRANGIAN:
-        for x in signed:
-            result *= 2 * x
+        result *= prod(2 * x for x in signed)
     elif space.kind is SpaceKind.ORTHOGONAL_ODD:
-        for x in signed:
-            result *= x
-    return result
-
-
-def _point_free_terms(terms: dict, denominator: int) -> tuple:
-    """What no parameter point changes in the polynomial ``terms``
-    (exponents -> integer coefficient) over ``denominator``: (denominator,
-    largest degree, coefficients, one exponent column per variable, parity
-    masks whose set bits are the variables with odd exponents).
-
-    A polynomial that is not homogeneous gets one more column, each term's
-    degree deficit to the largest degree: the exponent of the point's
-    common denominator that brings the term to that degree.
-    """
-    degrees = list(map(sum, terms))
-    max_degree = max(degrees, default=0)
-    columns = list(zip(*terms))
-    masks = [0] * len(degrees)
-    for i, column in enumerate(columns):
-        bit = 1 << i
-        masks = [m | bit if k & 1 else m for m, k in zip(masks, column)]
-    if any(d != max_degree for d in degrees):
-        columns.append([max_degree - d for d in degrees])
-    return denominator, max_degree, list(terms.values()), columns, masks
+        result *= prod(signed)
+    return Fraction(result, at.scale ** space.dimension)
 
 
 def _class_terms(V: SparsePoly, space: Space) -> tuple:
     """The point-free part of a class V: (denominator, 0, largest degree,
     the function giving its terms' totals per parity mask at a point).
-    The 0 is the degree of the Vandermonde factor in the terms."""
+    The 0 is the degree of the Vandermonde factor in the terms.  A term's
+    parity mask has a set bit for each variable with an odd exponent."""
     if V.nvars != space.n:
         raise VariableCountMismatch(f"class has {V.nvars} variables, space rank is {space.n}")
-    denominator, max_degree, coeffs, columns, masks = _point_free_terms(*V.integer_terms())
+    coeffs, denominator, max_degree, columns = V.integer_columns()
+    masks = [0] * len(coeffs)
+    for i, column in enumerate(columns[:space.n]):
+        bit = 1 << i
+        masks = [m | bit if k & 1 else m for m, k in zip(masks, column)]
     return denominator, 0, max_degree, partial(_term_totals, coeffs, columns, masks)
 
 
 def _term_totals(coeffs: list, columns: list, masks: list, x: tuple, scale: int) -> list:
     """The terms' values at the integer numerators ``x`` over ``scale``,
-    totalled per parity mask: the variables with odd exponents."""
+    totalled per parity mask."""
     totals = [0] * (1 << len(x))
-    for mask, value in zip(masks, _term_values(coeffs, columns, (*x, scale))):
+    for mask, value in zip(masks, column_values(coeffs, columns, (*x, scale))):
         totals[mask] += value
     return totals
 
@@ -310,15 +279,6 @@ def _check_power_bits(degree: int, at: GenericPoint):
         raise ExplicitSizeLimit(f"fixed-point powers limited to {MAX_POWER_BITS} bits, got {bits}")
 
 
-def _term_values(values: list, columns, bases) -> list:
-    """Each term's value times the power of each base given by its column;
-    bases without a column are skipped."""
-    for x, column in zip(bases, columns):
-        powers = {k: x ** k for k in set(column)}
-        values = [v * powers[k] for v, k in zip(values, column)]
-    return values
-
-
 def _walsh_hadamard(signed: list) -> list:
     """Turn the terms' totals per parity mask, in place, into their sum at
     every sign mask: a term changes sign at the masks sharing an odd
@@ -404,10 +364,10 @@ def _matches(terms: tuple, space: Space, value: SparsePoly, points) -> bool:
     as integer cross-products."""
     if value.nvars != space.n:
         raise VariableCountMismatch(f"value has {value.nvars} variables, space rank is {space.n}")
-    denominator, degree, coeffs, columns, _ = _point_free_terms(*value.integer_terms())
+    coeffs, denominator, degree, columns = value.integer_columns()
     for at in points:
         num, den = _sum_at(terms, space, at)
-        expected = sum(_term_values(coeffs, columns, (*at.numerators, at.scale)))
+        expected = sum(column_values(coeffs, columns, (*at.numerators, at.scale)))
         if num * denominator * at.scale ** degree != expected * den:
             return False
     return True

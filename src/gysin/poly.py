@@ -20,6 +20,9 @@ the Vandermonde, divides sums of alternants in the monomial-symmetric
 basis (``schur.alternant_quotient``).  Every coefficient that ``terms``,
 ``coefficient``, ``leading_term`` and ``sorted_terms`` return is a
 ``Fraction``.
+
+``evaluate`` works in integers (``integer_columns``, ``column_values``),
+as the fixed-point oracle does with the same two steps.
 """
 
 from __future__ import annotations
@@ -31,11 +34,26 @@ from typing import Iterable, Mapping, Sequence
 from .errors import VariableCountMismatch
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def over_lcm(values) -> tuple:
+    """(numerators, denominator): the ints or Fractions ``values`` as
+    integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def column_values(values: list, columns, bases) -> list:
+    """Each term's value times the power of each base given by its column;
+    bases without a column are skipped."""
+    for x, column in zip(bases, columns):
+        powers = {k: x ** k for k in set(column)}
+        values = [v * powers[k] for v, k in zip(values, column)]
+    return values
 
 
 def _check_exponents(e: tuple, nvars: int):
@@ -89,15 +107,6 @@ class SparsePoly:
         return cls._raw(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        """The polynomial consisting of the single variable with this 0-based index."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        e = [0] * nvars
-        e[index] = 1
-        return cls._raw(nvars, {tuple(e): _ONE})
-
-    @classmethod
     def monomial(cls, nvars: int, exponents: Iterable[int], coeff=1) -> "SparsePoly":
         return cls(nvars, {tuple(exponents): coeff})
 
@@ -110,8 +119,22 @@ class SparsePoly:
     def integer_terms(self) -> tuple:
         """(terms, denominator): the term map with integer coefficients
         over the least common denominator of the coefficients."""
-        den = lcm(*(c.denominator for c in self._terms.values()))
-        return {e: c.numerator * (den // c.denominator) for e, c in self._terms.items()}, den
+        numerators, den = over_lcm(self._terms.values())
+        return dict(zip(self._terms, numerators)), den
+
+    def integer_columns(self) -> tuple:
+        """(coefficients, denominator, degree, columns): ``integer_terms``
+        as a list, the largest term degree, and one exponent column per
+        variable.  If not homogeneous, one more column holds each term's
+        degree deficit: the power of a point's common denominator that
+        brings the term to the largest degree."""
+        terms, den = self.integer_terms()
+        degrees = list(map(sum, terms))
+        degree = max(degrees, default=0)
+        columns = list(zip(*terms))
+        if any(d != degree for d in degrees):
+            columns.append([degree - d for d in degrees])
+        return list(terms.values()), den, degree, columns
 
     def sorted_terms(self) -> list:
         """(exponents, coeff) pairs in canonical (descending lex) order."""
@@ -250,32 +273,15 @@ class SparsePoly:
             raise VariableCountMismatch(
                 f"point has {len(point)} coordinates, polynomial has {self.nvars}"
             )
-        values = [_as_fraction(x) for x in point]
-        powers: dict = {}
-        total = _ZERO
-        for exps, coeff in self._terms.items():
-            acc = coeff
-            for i, k in enumerate(exps):
-                if not k:
-                    continue
-                key = (i, k)
-                p = powers.get(key)
-                if p is None:
-                    p = values[i] ** k
-                    powers[key] = p
-                acc = acc * p
-            total = total + acc
-        return total
+        x, scale = over_lcm([_as_fraction(v) for v in point])
+        coeffs, den, degree, columns = self.integer_columns()
+        return Fraction(sum(column_values(coeffs, columns, (*x, scale))), den * scale ** degree)
 
     def square_variables(self) -> "SparsePoly":
         """Substitute every variable by its square (doubles all exponents)."""
         return SparsePoly._raw(
             self.nvars, {tuple(2 * k for k in e): c for e, c in self._terms.items()}
         )
-
-    def extract_odd_terms(self) -> dict:
-        """Terms whose exponent vector is odd in every component."""
-        return {e: c for e, c in self._terms.items() if all(k % 2 for k in e)}
 
     def is_symmetric(self) -> bool:
         """True if invariant under every permutation of the variables.

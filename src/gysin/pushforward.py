@@ -93,7 +93,7 @@ def _extract_and_divide(W: SparsePoly, n: int) -> SparsePoly:
     # and carries the signs of its alternant.
     shifted = SparsePoly(n, {
         tuple(k - 1 for k in exps): coeff
-        for exps, coeff in W.extract_odd_terms().items()
+        for exps, coeff in W.terms().items() if all(k & 1 for k in exps)
     })
     terms, den = shifted.integer_terms()
     coeffs: dict = {}

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gysin.cli import main
 from gysin.partitions import Partition
@@ -169,6 +172,32 @@ def test_pushforward_negative_point_either_spelling(capsys, fmt):
         assert payload["oracle"] == "37/4"  # t1^2 + t2^2
     else:
         assert "t: -1/2,3\noracle: 37/4\n" in out
+
+
+@pytest.mark.parametrize("t", ["1e50000000,2", "1e5000,2", "2,1e-5000", "1e4300,2",
+                               "0.0001e8601,2", "3/1e5000,2", "1e99999999999999999999,2"])
+@pytest.mark.parametrize("method", ["residue", "abbv"])
+def test_oversized_point_coordinate_exits_2_at_once(capsys, method, t):
+    # refused before Fraction builds the power of ten, which for 1e50000000
+    # took more than 20 s, and before a coordinate too long to print is used
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "2",
+                             "--lambda", "2,1", "--method", method, "--t", t)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err in ("error: --t coordinates are limited to 4300 digits\n",
+                   f"error: cannot parse rational vector {t!r}\n")
+
+
+@pytest.mark.parametrize("t, shown", [
+    ("0.5e3,2", "500,2"), ("1_0e1_0,2", "100000000000,2"), ("-25e-1,2", "-5/2,2"),
+    ("1e4299,2", "1" + "0" * 4299 + ",2"), ("0.0001e4302,2", "1" + "0" * 4298 + ",2"),
+])
+def test_point_coordinates_in_exponent_form_keep_their_value(capsys, t, shown):
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "2",
+                             "--lambda", "2,1", "--method", "abbv", "--t", t)
+    assert (code, err) == (0, "")
+    assert f"t: {shown}\noracle: 1\n" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -502,3 +531,61 @@ def test_module_entry_point():
     )
     assert process.returncode == 0
     assert process.stdout == "z1^2*z2 + z1*z2^2\n"
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader of a 187 KB report goes away after 50 bytes, as with
+    # `| head -c 50`: no traceback, and 141 as for a filter killed by SIGPIPE
+    process = subprocess.Popen(
+        [sys.executable, "-m", "gysin", "verify", "--n-max", "4", "--weight-max", "10",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert process.stdout.read(50).startswith(b"{")
+    process.stdout.close()
+    err = process.stderr.read()
+    assert (process.wait(timeout=30), err) == (141, b"")
+
+
+# -- input properties ----------------------------------------------------------
+
+def run_in_process(*argv):
+    """(exit code, stdout, stderr) of one call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit(result):
+    code, out, err = result
+    assert code in (0, 2), err
+    assert "Traceback" not in out + err
+    assert bool(out) == (code == 0) and bool(err) == (code == 2)
+
+
+junk = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+numbers = st.from_regex(r"\A-?[0-9]{1,4}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,12})?(/[0-9]{1,3})?\Z")
+
+
+@settings(deadline=1000, max_examples=40)
+@given(st.one_of(junk, st.lists(numbers, min_size=1, max_size=3).map(",".join)))
+def test_any_lambda_text_exits_0_or_2(text):
+    check_exit(run_in_process("pushforward", "--space", "lg", "--n", "2", "--lambda", text,
+                              "--method", "abbv"))
+
+
+@settings(deadline=1000, max_examples=40)
+@given(st.one_of(junk, st.lists(numbers, min_size=1, max_size=3).map(",".join)))
+def test_any_point_text_exits_0_or_2(text):
+    check_exit(run_in_process("pushforward", "--space", "lg", "--n", "2", "--lambda", "2,1",
+                              "--method", "abbv", "--t", text))
+
+
+@settings(deadline=1000, max_examples=40)
+@given(st.one_of(junk, numbers, st.integers(-3, 1100).map(str)))
+def test_any_points_count_exits_0_or_2(text):
+    check_exit(run_in_process("verify", "--n-max", "1", "--weight-max", "0", "--points", text))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gysin.poly
 from gysin.errors import InexactDivision, VariableCountMismatch
@@ -14,8 +14,8 @@ def P(nvars, terms):
     return SparsePoly(nvars, terms)
 
 
-z1 = SparsePoly.variable(2, 0)
-z2 = SparsePoly.variable(2, 1)
+z1 = SparsePoly.monomial(2, (1, 0))
+z2 = SparsePoly.monomial(2, (0, 1))
 
 
 # -- strategies ---------------------------------------------------------
@@ -72,7 +72,7 @@ def test_add_zero_is_identity():
 
 def test_add_mismatched_nvars():
     with pytest.raises(VariableCountMismatch):
-        z1 + SparsePoly.variable(3, 0)
+        z1 + SparsePoly.monomial(3, (1, 0, 0))
 
 
 # -- mul ----------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_mul_one_is_identity():
 
 def test_mul_mismatched_nvars():
     with pytest.raises(VariableCountMismatch):
-        z1 * SparsePoly.variable(1, 0)
+        z1 * SparsePoly.monomial(1, (1,))
 
 
 # -- exact_div ----------------------------------------------------------
@@ -215,6 +215,30 @@ def test_evaluate_zero_polynomial():
     assert SparsePoly.zero(2).evaluate([5, Fraction(1, 7)]) == 0
 
 
+def fraction_loop(p, point):
+    """The value of p at point, one Fraction product per term."""
+    total = Fraction(0)
+    for exps, coeff in p.terms().items():
+        for x, k in zip(point, exps):
+            coeff *= Fraction(x) ** k
+        total += coeff
+    return total
+
+
+coordinates = st.one_of(st.just(0), st.integers(-9, 9),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@example((P(2, {(2, 1): 3, (1, 0): Fraction(-1, 2), (0, 0): 5}), [Fraction(1, 3), -2]))
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    polys(n, max_exp=5, max_terms=6), st.lists(coordinates, min_size=n, max_size=n))))
+def test_evaluate_matches_the_per_term_fraction_loop(case):
+    # inhomogeneous polynomials at points with a common denominator: each
+    # term is brought to the largest degree by the degree-deficit column
+    p, point = case
+    assert p.evaluate(point) == fraction_loop(p, point)
+
+
 @given(polys(2), polys(2), st.tuples(coefficients, coefficients))
 def test_evaluate_is_ring_homomorphism(p, q, point):
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
@@ -245,15 +269,6 @@ def test_square_variables():
 def test_square_variables_matches_evaluation_at_squares(p, point):
     squared = [x * x for x in point]
     assert p.square_variables().evaluate(point) == p.evaluate(squared)
-
-
-def test_extract_odd_terms():
-    assert (z1 * z2 ** 3 - z1 ** 3 * z2).extract_odd_terms() == {
-        (1, 3): Fraction(1),
-        (3, 1): Fraction(-1),
-    }
-    assert (z2 ** 2 - z1 ** 2).extract_odd_terms() == {}
-    assert P(1, {(3,): 1}).extract_odd_terms() == {(3,): Fraction(1)}
 
 
 def test_is_symmetric():

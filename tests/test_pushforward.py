@@ -39,8 +39,8 @@ from gysin.spaces import Space, SpaceKind, lg, og_even, og_odd
 
 from division_reference import exact_div, permutation_sign, vandermonde_factors
 
-z1 = SparsePoly.variable(2, 0)
-z2 = SparsePoly.variable(2, 1)
+z1 = SparsePoly.monomial(2, (1, 0))
+z2 = SparsePoly.monomial(2, (0, 1))
 
 
 def antisymmetrize(exponents, nvars, coeff=1):
@@ -62,6 +62,13 @@ def staircase_lambda(mu, n, staircase):
 
 def test_numerator_lg2_hook():
     W = z1 * z2 ** 3 - z1 ** 3 * z2  # s_(2,1) * (z2 - z1)
+    assert pushforward_numerator(W, lg(2)) == 1
+
+
+def test_numerator_reads_only_the_all_odd_terms():
+    # terms with an even exponent are dropped before the division, whatever
+    # their shape; the hook's odd terms still give 1
+    W = z1 * z2 ** 3 - z1 ** 3 * z2 + 5 * z1 ** 2 * z2 - z2 ** 4 + 7
     assert pushforward_numerator(W, lg(2)) == 1
 
 
@@ -142,7 +149,7 @@ def test_rank_guard_comes_before_any_work():
     # an asymmetric input: without the guard first, the symmetry check or
     # the n!-sized expansion would run instead
     for n in (9, 12):
-        V = SparsePoly.variable(n, 0)
+        V = SparsePoly.monomial(n, (1,) + (0,) * (n - 1))
         for push in (pushforward_symmetric, pushforward_numerator):
             for space in (lg(n), og_even(n), og_odd(n)):
                 with pytest.raises(ExplicitSizeLimit, match=f"^rank limited to 8, got {n}$"):

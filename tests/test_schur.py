@@ -27,8 +27,8 @@ from schur_reference import (
     tableau_count,
 )
 
-z1 = SparsePoly.variable(2, 0)
-z2 = SparsePoly.variable(2, 1)
+z1 = SparsePoly.monomial(2, (1, 0))
+z2 = SparsePoly.monomial(2, (0, 1))
 
 
 def test_elementary_symmetric():
