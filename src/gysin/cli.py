@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -59,11 +60,20 @@ def _coordinate(token: str) -> Fraction:
     raise ExplicitSizeLimit(f"--t coordinates are limited to {MAX_COORDINATE_DIGITS} digits")
 
 
+# a bad --t coordinate is quoted up to this many characters
+_SHOWN_CHARS = 20
+
+
 def _parse_point(text: str, n: int) -> GenericPoint:
-    try:
-        values = [_coordinate(token) for token in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise GysinError(f"cannot parse rational vector {text!r}") from None
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(_coordinate(token))
+        except (ValueError, ZeroDivisionError):
+            shown = repr(token[:_SHOWN_CHARS])
+            if len(token) > _SHOWN_CHARS:
+                shown += f"... ({len(token)} characters)"
+            raise GysinError(f"cannot parse --t coordinate {shown}") from None
     if len(values) != n:
         raise GysinError(f"expected {n} coordinates in --t, got {len(values)}")
     return GenericPoint(values)
@@ -86,14 +96,78 @@ def _glue_negative_point(argv: list) -> list:
     return out
 
 
-def _emit(args, out, payload: dict, lines: list) -> None:
+def _emit(args, out, payload, lines) -> None:
+    """Write only the requested format: ``payload()`` as JSON, or the text
+    ``lines()``."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2), file=out)
+        write_json(payload(), out)
     else:
-        print("\n".join(lines), file=out)
+        print("\n".join(lines()), file=out)
 
 
+# json.dumps writes this string as "\u0000"
+_HOLE = "\0"
+_HOLE_JSON = json.dumps(_HOLE)
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder
+
+
+def write_json(payload, out) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to ``out``.
+
+    Every "terms" list, the {"coeff", "exp"} records of
+    ``SparsePoly.to_records``, is cut out before json.dumps runs and
+    streamed in its place one record at a time, from a template for its
+    depth and exponent count.  The records are the bulk of a large output,
+    and json.dumps encodes in pure Python when it indents.
+    """
+    cut = []
+    pieces = json.dumps(_cut_terms(payload, cut), indent=2).split(_HOLE_JSON)
+    if len(pieces) != len(cut) + 1:  # a payload string ends like a hole
+        pieces, cut = [json.dumps(payload, indent=2)], []
+    for piece, records in zip(pieces, cut):
+        out.write(piece)
+        line = piece[piece.rfind("\n") + 1:]
+        _write_records(records, line[:len(line) - len(line.lstrip(" "))], out)
+    print(pieces[-1], file=out)
+
+
+def _cut_terms(value, cut: list):
+    """A copy of ``value`` with each "terms" list moved to ``cut``, in
+    document order, and a hole in its place."""
+    if isinstance(value, dict):
+        copy = {}
+        for key, item in value.items():
+            if key == "terms":
+                cut.append(item)
+                copy[key] = _HOLE
+            else:
+                copy[key] = _cut_terms(item, cut)
+        return copy
+    if isinstance(value, list):
+        return [_cut_terms(item, cut) for item in value]
+    return value
+
+
+def _write_records(records: list, indent: str, out) -> None:
+    """The records of one polynomial, whose exponent vectors have one
+    length, as json.dumps indents them on a line indented by ``indent``."""
+    if not records:
+        out.write("[]")
+        return
+    inner, nvars = indent + "  ", len(records[0]["exp"])
+    exp = "[\n" + ",\n".join([f"{inner}    %d"] * nvars) + f"\n{inner}  ]" if nvars else "[]"
+    template = f'{inner}{{\n{inner}  "coeff": %s,\n{inner}  "exp": {exp}\n{inner}}}'
+    out.write("[\n")
+    separator = ""
+    for record in records:
+        out.write(separator + template % (_quote(record["coeff"]), *record["exp"]))
+        separator = ",\n"
+    out.write(f"\n{indent}]")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call in a process."""
     parser = argparse.ArgumentParser(
         prog="gysin",
         description=(
@@ -143,30 +217,40 @@ def _cmd_pushforward(args, out) -> int:
     space = Space(SpaceKind(args.space), args.n)
     lam = Partition.from_text(args.lam)
     point = _parse_point(args.t, space.n) if args.t else default_point(space.n)
-    payload = {"command": "pushforward", "space": args.space, "n": args.n,
-               "lambda": list(lam.parts), "method": args.method}
-    lines = [f"space: {space.label()}", f"lambda: {lam.to_text()}", f"method: {args.method}"]
-    ok = True
+    head = {"command": "pushforward", "space": args.space, "n": args.n,
+            "lambda": list(lam.parts), "method": args.method}
+    head_lines = [f"space: {space.label()}", f"lambda: {lam.to_text()}",
+                  f"method: {args.method}"]
     if args.method == "abbv":
-        oracle = schur_localization_sum(lam, space, point)
-        payload.update(t=[str(v) for v in point.values], oracle=str(oracle))
-        lines += [f"t: {','.join(payload['t'])}", f"oracle: {oracle}"]
-    elif args.method == "all":
+        oracle = str(schur_localization_sum(lam, space, point))
+        t = [str(v) for v in point.values]
+        _emit(args, out, lambda: {**head, "t": t, "oracle": oracle},
+              lambda: head_lines + [f"t: {','.join(t)}", f"oracle: {oracle}"])
+        return EXIT_OK
+    ok, checks, check_lines = True, {}, []
+    if args.method == "all":
         case = evaluate_case(space, lam, [point] + seeded_points(space.n, 2, args.seed))
         ok = case.ok
         result = PushforwardResult(case.residue, case.closed.mu, case.closed.constant)
-        residue, closed = case.residue.render("t"), case.closed.value.render("t")
-        methods = {"residue": residue, "closed": closed, "oracle_points": case.oracle_points,
-                   "closed_match": case.closed_match, "oracle_match": case.oracle_match}
-        payload.update(result.to_dict(), methods=methods, agreement=ok)
-        lines += result.text_lines() + [
-            f"residue: {residue}", f"closed: {closed}", f"oracle-points: {case.oracle_points}",
-            f"agreement: {'ok' if ok else 'MISMATCH'}"]
+        text = case.residue.render("t")
+        closed = text if case.closed_match else case.closed.value.render("t")
+        checks = {"methods": {"residue": text, "closed": closed,
+                              "oracle_points": case.oracle_points,
+                              "closed_match": case.closed_match,
+                              "oracle_match": case.oracle_match},
+                  "agreement": ok}
+        check_lines = [f"residue: {text}", f"closed: {closed}",
+                       f"oracle-points: {case.oracle_points}",
+                       f"agreement: {'ok' if ok else 'MISMATCH'}"]
     else:
         result = closed_form(lam, space) if args.method == "closed" else pushforward_schur(lam, space)
-        payload.update(result.to_dict())
-        lines += result.text_lines()
-    _emit(args, out, payload, lines)
+        text = result.value.render("t")
+    _emit(args, out,
+          lambda: {**head, "value": result.value.to_payload("t"), "text": text,
+                   **result.decomposition(), **checks},
+          lambda: head_lines + [f"value: {text}"] + [
+              f"{key}: {field}" for key, field in result.decomposition_text().items()
+          ] + check_lines)
     return EXIT_OK if ok else EXIT_INCONSISTENT
 
 
@@ -174,16 +258,14 @@ def _cmd_schur(args, out) -> int:
     lam = Partition.from_text(args.lam)
     value = _SCHUR_BUILDERS[args.via](lam, args.n)
     text = value.render("z")
-    payload = {"command": "schur", "lambda": list(lam.parts), "n": args.n, "via": args.via,
-               "value": value.to_payload("z"), "text": text}
-    _emit(args, out, payload, [text])
+    _emit(args, out,
+          lambda: {"command": "schur", "lambda": list(lam.parts), "n": args.n, "via": args.via,
+                   "value": value.to_payload("z"), "text": text},
+          lambda: [text])
     return EXIT_OK
 
 
-def _cmd_verify(args, out) -> int:
-    kinds = (SpaceKind(args.space),) if args.space else ALL_KINDS
-    report = run_verification(n_max=args.n_max, weight_max=args.weight_max, kinds=kinds,
-                              seed=args.seed, oracle_points=args.points)
+def _verify_lines(args, kinds, report) -> list:
     lines = [
         f"verify: spaces={','.join(k.value for k in kinds)} n-max={args.n_max} "
         f"weight-max={args.weight_max} seed={args.seed} points={args.points + 1}"
@@ -198,19 +280,30 @@ def _cmd_verify(args, out) -> int:
     for n, constant in sorted(report.og_even_constants().items()):
         lines.append(f"og-even constant n={n}: {constant} (= 2^(n-1), not 2^n)")
     lines.append(f"result: {'PASS' if report.all_ok else 'FAIL'} ({len(report.cases)} cases)")
-    _emit(args, out, report.to_dict(), lines)
+    return lines
+
+
+def _cmd_verify(args, out) -> int:
+    kinds = (SpaceKind(args.space),) if args.space else ALL_KINDS
+    report = run_verification(n_max=args.n_max, weight_max=args.weight_max, kinds=kinds,
+                              seed=args.seed, oracle_points=args.points)
+    _emit(args, out, report.to_dict, lambda: _verify_lines(args, kinds, report))
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
 
 
 def _cmd_table(args, out) -> int:
     rows = table_rows(Space(SpaceKind(args.space), args.n), args.weight_max)
+    _emit(args, out, lambda: {"command": "table", "rows": rows}, lambda: [_csv(rows)])
+    return EXIT_OK
+
+
+def _csv(rows: list) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=["space", "n", "lambda", "mu", "constant", "value"],
                             lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
-    _emit(args, out, {"command": "table", "rows": rows}, [buffer.getvalue().rstrip("\n")])
-    return EXIT_OK
+    return buffer.getvalue().rstrip("\n")
 
 
 _DISPATCH = {
@@ -222,9 +315,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_glue_negative_point(argv))
+    args = build_parser().parse_args(_glue_negative_point(argv))
     try:
         code = _DISPATCH[args.command](args, sys.stdout)
         sys.stdout.flush()

@@ -153,13 +153,6 @@ class SparsePoly:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def homogeneous_degree(self):
-        """The common total degree of all terms, or None (zero or inhomogeneous)."""
-        degrees = {sum(e) for e in self._terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -330,23 +323,19 @@ class SparsePoly:
         """Plain-text form, canonical term order: ``z1^2*z2 + 2*z2^3``."""
         if not self._terms:
             return "0"
+        names = [f"{var}{i + 1}" for i in range(self.nvars)]
         chunks = []
         for exps, coeff in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(exps):
-                if not k:
-                    continue
-                name = f"{var}{i + 1}"
-                factors.append(name if k == 1 else f"{name}^{k}")
-            magnitude = abs(coeff)
+            factors = "*".join([name if k == 1 else f"{name}^{k}"
+                                for name, k in zip(names, exps) if k])
+            num, den = coeff.numerator, coeff.denominator
+            magnitude = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
+                body = magnitude
+            elif magnitude == "1":
+                body = factors
             else:
-                body = str(magnitude) + "*" + "*".join(factors)
-            if not chunks:
-                chunks.append(body if coeff > 0 else "-" + body)
-            else:
-                chunks.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(chunks)
+                body = magnitude + "*" + factors
+            chunks.append((" - " if num < 0 else " + ") + body)
+        text = "".join(chunks)
+        return text[3:] if text[1] == "+" else "-" + text[3:]

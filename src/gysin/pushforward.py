@@ -65,18 +65,6 @@ class PushforwardResult:
             return {}
         return {"mu": self.mu.to_text(), "constant": str(self.constant)}
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value.to_payload("t"),
-            "text": self.value.render("t"),
-            **self.decomposition(),
-        }
-
-    def text_lines(self) -> list:
-        return [f"value: {self.value.render('t')}"] + [
-            f"{key}: {text}" for key, text in self.decomposition_text().items()
-        ]
-
 
 def _check_numerator(p: SparsePoly, space: Space):
     if p.nvars != space.n:

@@ -5,12 +5,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gysin.cli import main
+from gysin.cli import build_parser, main, write_json
 from gysin.partitions import Partition
 from gysin.poly import SparsePoly
 from schur_reference import schur_jacobi_trudi
@@ -186,7 +187,7 @@ def test_oversized_point_coordinate_exits_2_at_once(capsys, method, t):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err in ("error: --t coordinates are limited to 4300 digits\n",
-                   f"error: cannot parse rational vector {t!r}\n")
+                   f"error: cannot parse --t coordinate {t.split(',')[0]!r}\n")
 
 
 @pytest.mark.parametrize("t, shown", [
@@ -585,7 +586,146 @@ def test_any_point_text_exits_0_or_2(text):
                               "--method", "abbv", "--t", text))
 
 
+@pytest.mark.parametrize("t", ["1" * 5000 + ",2", "2," + "x" * 5000, "1/" + "0" * 5000 + ",1",
+                               "\u00e9" * 3000 + ",2"])
+def test_unparsable_point_is_quoted_by_a_short_prefix(capsys, t):
+    # the message names the bad coordinate, not the whole --t text
+    code, out, err = run_cli(capsys, "pushforward", "--space", "lg", "--n", "2",
+                             "--lambda", "2,1", "--method", "abbv", "--t", t)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse --t coordinate ")
+    assert f"({max(map(len, t.split(',')))} characters)" in err
+    assert len(err) < 100
+
+
 @settings(deadline=1000, max_examples=40)
 @given(st.one_of(junk, numbers, st.integers(-3, 1100).map(str)))
 def test_any_points_count_exits_0_or_2(text):
     check_exit(run_in_process("verify", "--n-max", "1", "--weight-max", "0", "--points", text))
+
+
+# -- the JSON writer and the parser ----------------------------------------------
+
+def sparse_polys(var_counts=st.integers(1, 8)):
+    coeffs = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**6)
+    return var_counts.flatmap(lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 300)] * n), coeffs, max_size=6,
+    ).map(lambda terms: SparsePoly(n, terms)))
+
+
+decompositions = st.one_of(
+    st.just({"mu": None, "constant": None}),
+    st.builds(lambda mu, c: {"mu": mu, "constant": str(c)},
+              st.lists(st.integers(0, 9), max_size=3), st.fractions()),
+)
+
+
+@st.composite
+def pushforward_payloads(draw):
+    value = draw(sparse_polys())
+    payload = {"command": "pushforward", "space": draw(st.sampled_from(["lg", "og-odd"])),
+               "n": value.nvars, "lambda": draw(st.lists(st.integers(0, 20), max_size=8)),
+               "method": draw(st.sampled_from(["residue", "closed", "all"])),
+               "value": value.to_payload("t"), "text": value.render("t"), **draw(decompositions)}
+    if payload["method"] == "all":
+        payload["methods"] = {"residue": payload["text"], "closed": draw(st.text()),
+                              "oracle_points": 3, "closed_match": draw(st.booleans()),
+                              "oracle_match": draw(st.booleans())}
+        payload["agreement"] = draw(st.booleans())
+    return payload
+
+
+@st.composite
+def schur_payloads(draw):
+    value = draw(sparse_polys())
+    return {"command": "schur", "lambda": draw(st.lists(st.integers(0, 20), max_size=8)),
+            "n": value.nvars, "via": "bialternant", "value": value.to_payload("z"),
+            "text": value.render("z")}
+
+
+@st.composite
+def verify_payloads(draw):
+    cases = [{"space": "lg", "n": value.nvars, "lambda": [3], "value": value.render("t"),
+              **draw(decompositions), "closed_match": True, "oracle_points": 3,
+              "oracle_match": True, "measured_constant": None, "ok": True}
+             for value in draw(st.lists(sparse_polys(), max_size=3))]
+    return {"n_max": 3, "weight_max": 9, "seed": 0, "oracle_points": 2,
+            "fault_injected": False, "all_ok": draw(st.booleans()),
+            "og_even_constants": draw(st.dictionaries(st.sampled_from("123"),
+                                                      st.none() | st.just("2"))),
+            "cases": cases}
+
+
+@st.composite
+def table_payloads(draw):
+    n = draw(st.integers(1, 8))
+    rows = [{"space": "og-odd", "n": n, "lambda": "3", "mu": "-", "constant": "-",
+             "value": value.render("t"), "terms": value.to_records()}
+            for value in draw(st.lists(sparse_polys(st.just(n)), max_size=4))]
+    return {"command": "table", "rows": rows}
+
+
+@given(st.one_of(pushforward_payloads(), schur_payloads(), verify_payloads(), table_payloads()))
+@example({"text": "\0", "value": {"terms": [{"coeff": "1", "exp": [2]}]}, "t": ['"\0']})
+def test_json_writer_matches_json_dumps(payload):
+    out = io.StringIO()
+    write_json(payload, out)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["schur", "table"])
+def test_json_writer_streams_the_term_records(command):
+    # no write holds more than one record, so no second copy of a large
+    # output is built
+    value = SparsePoly(3, {(i, j, 7): (-1) ** i * Fraction(i + 1, j + 1)
+                           for i in range(40) for j in range(40)})
+    payload = {"command": command, "value": value.to_payload("z"), "text": value.render("z")}
+    if command == "table":
+        payload = {"command": command, "rows": [{"value": "0", "terms": []}, payload["value"]]}
+
+    writes = []
+
+    class Recorder:
+        write = staticmethod(writes.append)
+
+    write_json(payload, Recorder())
+    assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+    assert len(writes) > len(value.to_records())
+    assert max(map(len, writes[3:-2])) < 200
+
+
+# every command in both formats, argparse usage errors (SystemExit 2),
+# GysinErrors (exit 2) and a negative --t glued to its option
+PARSER_SEQUENCE = [
+    "pushforward --space lg --n 3 --lambda 5,3,1 --format json",
+    "pushforward --space og-even --n 2 --lambda 3,1 --method all",
+    "pushforward --space nowhere --n 2 --lambda 1",
+    "schur --lambda 3,1 --n 3 --format json",
+    "pushforward --space lg --n 2 --lambda 2,1 --method abbv --t 2,-2",
+    "verify --n-max 2 --weight-max 4 --format json",
+    "table --space og-odd --n 2 --weight-max 5",
+    "pushforward --space lg --n 2 --lambda 4,1 --method abbv --t -1/2,3 --format json",
+    "table --space lg --n 2 --weight-max 6 --format json",
+    "verify --n-max 1 --weight-max 2 --points -1",
+    "schur --lambda 2,1 --n 2 --via nowhere",
+]
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    build_parser.cache_clear()
+    shared = [run_in_process(*argv.split()) for argv in PARSER_SEQUENCE]
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 2]
+    assert "invalid choice" in shared[2][2] and shared[4][2].startswith("error: ")
+    for argv, result in zip(PARSER_SEQUENCE, shared):
+        build_parser.cache_clear()
+        assert run_in_process(*argv.split()) == result, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    process = subprocess.run(
+        [sys.executable, "-c",
+         "from gysin import cli; print(cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert (process.returncode, process.stdout) == (0, "0\n")

@@ -278,14 +278,6 @@ def test_is_symmetric():
     assert not (z1 ** 2 * z2).is_symmetric()
 
 
-# -- degree helpers -----------------------------------------------------
-
-def test_homogeneous_degree():
-    assert (z1 ** 2 * z2 + z1 * z2 ** 2).homogeneous_degree() == 3
-    assert (z1 + z1 ** 2).homogeneous_degree() is None
-    assert SparsePoly.zero(2).homogeneous_degree() is None
-
-
 # -- serialization and rendering ----------------------------------------
 
 def test_records_are_canonically_ordered():
@@ -331,3 +323,22 @@ def test_render():
     assert P(1, {(2,): 2}).render("t") == "2*t1^2"
     assert (z2 ** 2 - z1 ** 2).render("t") == "-t1^2 + t2^2"
     assert P(2, {(1, 0): Fraction(1, 2)}).render() == "1/2*z1"
+
+
+def render_reference(p: SparsePoly, var: str) -> str:
+    """The term-by-term rendering with Fraction arithmetic on each coefficient."""
+    chunks = []
+    for exps, coeff in p.sorted_terms():
+        factors = [f"{var}{i + 1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(exps) if k]
+        magnitude = abs(coeff)
+        body = "*".join(([str(magnitude)] if magnitude != 1 or not factors else []) + factors)
+        sign = ("" if coeff > 0 else "-") if not chunks else (" + " if coeff > 0 else " - ")
+        chunks.append(sign + body)
+    return "".join(chunks) or "0"
+
+
+@given(st.integers(1, 4).flatmap(lambda n: polys(n, max_exp=12, max_terms=8)),
+       st.sampled_from(["t", "z"]))
+@example(P(3, {(0, 0, 0): Fraction(-1), (1, 0, 11): Fraction(-7, 3)}), "t")
+def test_render_matches_the_term_by_term_reference(p, var):
+    assert p.render(var) == render_reference(p, var)
